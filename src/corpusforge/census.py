@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -184,10 +184,6 @@ def load_raw_frames(path: str | Path, video_id: str | None = None) -> FrameVideo
         raise ValidationError(f"{path}: truncated payload")
     frames = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w).astype(np.float64)
     return FrameVideo(video_id=video_id or path.stem, fps=fps, frames=frames)
-
-
-def decode_many(videos: Iterable[FrameVideo]) -> list[SignatureSequence]:
-    return [decode_frames(v) for v in videos]
 
 
 def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:

@@ -94,12 +94,6 @@ class LshIndex:
         return out
 
 
-def frame_match(
-    index: LshIndex, vector: np.ndarray, tau: float = DEFAULT_TAU
-) -> list[tuple[str, int]]:
-    return index.match(vector, tau)
-
-
 def build_index(
     targets: Iterable[SignatureSequence],
     bands: int = DEFAULT_BANDS,

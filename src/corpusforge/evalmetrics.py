@@ -5,21 +5,20 @@ import math
 
 import numpy as np
 
-from .records import LabelSpace, ValidationError, VideoRecord
-from .rng import make_rng
+from .netops import softmax
+from .records import LabelSpace, ValidationError, VideoRecord, assign_label, matches_by_video
 
 
 def assign_single_label(video: VideoRecord, space: LabelSpace, seed: int) -> str:
     """Collapse a multi-label video to one label, uniformly at random.
 
-    The choice is a pure function of (video id, seed), so a corpus can be
-    assigned in any order or in parallel.
+    The same seeded draw the samplers and budget planners use, so a video
+    gets the same label here as in their manifests.
     """
-    matched = space.match(video)
+    matched = matches_by_video([video], space).get(video.id)
     if not matched:
         raise ValidationError(f"video {video.id!r} matches no label in {space.name!r}")
-    rng = make_rng(seed, "assign", video.id)
-    return matched[int(rng.integers(len(matched)))]
+    return assign_label(video.id, matched, seed)
 
 
 def uniform_clip_starts(
@@ -69,11 +68,7 @@ def video_prediction(
     if any(a.shape != dim for a in arrs):
         raise ValidationError("ragged clip predictions")
     if average_probs:
-        def _softmax(z: np.ndarray) -> np.ndarray:
-            e = np.exp(z - z.max())
-            return e / e.sum()
-
-        arrs = [_softmax(a) for a in arrs]
+        arrs = [softmax(a, axis=None) for a in arrs]
     return np.mean(np.stack(arrs), axis=0)
 
 

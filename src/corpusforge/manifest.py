@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .records import ValidationError, VideoRecord
 
@@ -173,22 +173,3 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         provenance=dict(header.get("provenance", {})),
         seed=int(header.get("seed", 0)),
     )
-
-
-def rows_for(
-    videos: Iterable[VideoRecord],
-    label_of: dict[str, str],
-    window_of: dict[str, tuple[float, float]] | None = None,
-) -> list[ManifestRow]:
-    """Build rows for videos with assigned labels and optional clip windows.
-
-    Without a window the row covers the whole video.
-    """
-    rows = []
-    for v in videos:
-        if window_of is not None and v.id in window_of:
-            start, length = window_of[v.id]
-        else:
-            start, length = 0.0, v.duration_s
-        rows.append(ManifestRow(v.id, label_of[v.id], start, length))
-    return rows

@@ -21,6 +21,12 @@ from .records import ValidationError
 from .tensor import Layout, WeightTensor, load_weights, save_weights
 
 
+def softmax(z: np.ndarray, axis: int | None) -> np.ndarray:
+    """Max-shifted softmax along ``axis`` (None: over the whole array)."""
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def _pad_amounts(kernel: int) -> tuple[int, int]:
     # SAME padding for stride 1: total k-1, split (left, right)
     left = (kernel - 1) // 2
@@ -154,9 +160,7 @@ class DenseLayer:
 @dataclass
 class SoftmaxLayer:
     def forward(self, x: np.ndarray) -> np.ndarray:
-        z = x - x.max(axis=0, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=0, keepdims=True)
+        return softmax(x, axis=0)
 
 
 Layer = Union[Conv2dLayer, Conv3dLayer, ReluLayer, GlobalAvgPoolLayer, DenseLayer, SoftmaxLayer]

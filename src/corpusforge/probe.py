@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .netops import softmax
 from .records import ValidationError
 
 _CFFT_MAGIC = b"CFFT"
@@ -42,12 +43,6 @@ class ProbeModel:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return np.argmax(self.logits(features), axis=1)
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -87,7 +82,7 @@ def probe_loss_and_grad(
         zmax = z.max(axis=1, keepdims=True)
         log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
         loss = float(np.mean(log_norm - (z * y).sum(axis=1)))
-        delta = (_softmax(z) - y) / n
+        delta = (softmax(z, axis=1) - y) / n
     else:
         y = np.asarray(targets, dtype=np.float64)
         # stable log(1 + exp(z)) - z*y

@@ -2,15 +2,21 @@
 
 A corpus is a list of :class:`VideoRecord`.  A :class:`LabelSpace` maps each
 retained label to its set of relevant hashtags; matching between the two is
-exact string equality on lowercased hashtags.
+exact string equality on lowercased hashtags.  :func:`matches_by_video` is the
+one place that matching happens, and :func:`assign_label` the one seeded draw
+that collapses a multi-label video to a single label.
 """
 from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
+
+from .rng import make_rng
 
 
 class ValidationError(ValueError):
@@ -71,14 +77,6 @@ class LabelSpace:
             frozen[label] = tagset
         object.__setattr__(self, "entries", frozen)
 
-    @property
-    def labels(self) -> list[str]:
-        return sorted(self.entries)
-
-    def match(self, video: VideoRecord) -> list[str]:
-        """Labels whose hashtag set intersects the video's tags, sorted."""
-        return [l for l in self.labels if self.entries[l] & video.hashtags]
-
 
 @dataclass
 class LabelHistogram:
@@ -107,34 +105,8 @@ def label_histogram(corpus: list[VideoRecord], space: LabelSpace) -> LabelHistog
     """
     if not corpus:
         raise ValidationError("corpus is empty")
-    tag_to_labels: dict[str, list[str]] = {}
-    for label, tags in space.entries.items():
-        for tag in tags:
-            tag_to_labels.setdefault(tag, []).append(label)
-    counts = {label: 0 for label in space.entries}
-    for video in corpus:
-        matched = set()
-        for tag in video.hashtags:
-            matched.update(tag_to_labels.get(tag, ()))
-        for label in matched:
-            counts[label] += 1
-    return LabelHistogram(counts)
-
-
-def label_videos(corpus: list[VideoRecord], space: LabelSpace) -> dict[str, list[VideoRecord]]:
-    """Per-label lists of matched videos, each list in corpus order."""
-    tag_to_labels: dict[str, list[str]] = {}
-    for label, tags in space.entries.items():
-        for tag in tags:
-            tag_to_labels.setdefault(tag, []).append(label)
-    out: dict[str, list[VideoRecord]] = {label: [] for label in space.entries}
-    for video in corpus:
-        matched = set()
-        for tag in video.hashtags:
-            matched.update(tag_to_labels.get(tag, ()))
-        for label in matched:
-            out[label].append(video)
-    return out
+    tally = Counter(chain.from_iterable(matches_by_video(corpus, space).values()))
+    return LabelHistogram({label: tally[label] for label in space.entries})
 
 
 def matches_by_video(
@@ -142,7 +114,8 @@ def matches_by_video(
 ) -> dict[str, list[str]]:
     """Sorted matched-label list per video id; unmatched videos are absent.
 
-    Inverted-index variant of LabelSpace.match for whole-corpus scans.
+    The one hashtag-to-label inverted index: a label matches a video when its
+    hashtag set intersects the video's tags.
     """
     tag_to_labels: dict[str, list[str]] = {}
     for label, tags in space.entries.items():
@@ -156,6 +129,34 @@ def matches_by_video(
         if matched:
             out[video.id] = sorted(matched)
     return out
+
+
+def assign_label(video_id: str, matched: list[str], seed: int) -> str:
+    """Collapse a video's sorted matched labels to one, uniformly at random.
+
+    The choice is a pure function of (video id, seed), so a corpus can be
+    assigned in any order or in parallel.
+    """
+    rng = make_rng(seed, "assign", video_id)
+    return matched[int(rng.integers(len(matched)))]
+
+
+def assigned_pools(
+    corpus: list[VideoRecord], space: LabelSpace, seed: int
+) -> dict[str, list[VideoRecord]]:
+    """Videos grouped by their assigned label; each list sorted by id.
+
+    Videos matching no label are skipped.
+    """
+    matched_of = matches_by_video(corpus, space)
+    pools: dict[str, list[VideoRecord]] = {}
+    for video in corpus:
+        matched = matched_of.get(video.id)
+        if matched:
+            pools.setdefault(assign_label(video.id, matched, seed), []).append(video)
+    for videos in pools.values():
+        videos.sort(key=lambda v: v.id)
+    return pools
 
 
 # ---------------------------------------------------------------------------

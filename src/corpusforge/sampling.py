@@ -13,6 +13,7 @@ Three strategies are provided:
 
 Multi-label videos are assigned a single working label (uniform, seeded per
 video) before random/tail selection so that no video is selected twice.
+Every strategy skips videos whose hashtags match no label.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .records import (
     LabelSpace,
     ValidationError,
     VideoRecord,
-    label_videos,
+    assigned_pools,
     matches_by_video,
 )
 from .rng import make_rng
@@ -58,24 +59,6 @@ def sqrt_weights(hist: LabelHistogram) -> dict[str, float]:
     return {label: r / total for label, r in roots.items()}
 
 
-def _assignments(
-    corpus: list[VideoRecord], space: LabelSpace, seed: int
-) -> dict[str, list[VideoRecord]]:
-    """Single working label per matchable video; per-label lists sorted by id."""
-    matched_of = matches_by_video(corpus, space)
-    pools: dict[str, list[VideoRecord]] = {}
-    for video in corpus:
-        matched = matched_of.get(video.id)
-        if not matched:
-            continue
-        rng = make_rng(seed, "assign", video.id)
-        label = matched[int(rng.integers(len(matched)))]
-        pools.setdefault(label, []).append(video)
-    for videos in pools.values():
-        videos.sort(key=lambda v: v.id)
-    return pools
-
-
 def _manifest(rows: list[ManifestRow], seed: int, builder: str, params: str) -> DatasetManifest:
     return DatasetManifest(rows=rows, provenance={builder: params}, seed=seed)
 
@@ -84,7 +67,7 @@ def sample_random(
     corpus: list[VideoRecord], space: LabelSpace, plan: SamplingPlan
 ) -> DatasetManifest:
     """Uniform subsample of the matchable corpus, exactly ``budget`` videos."""
-    pools = _assignments(corpus, space, plan.seed)
+    pools = assigned_pools(corpus, space, plan.seed)
     videos = sorted(
         ((v, label) for label, vs in pools.items() for v in vs),
         key=lambda pair: pair[0].id,
@@ -115,17 +98,15 @@ def sample_square_root(
     """
     if plan.strategy is not Strategy.SQUARE_ROOT:
         raise ValidationError("plan.strategy must be SQUARE_ROOT")
-    pools = {
-        label: sorted(videos, key=lambda v: v.id)
-        for label, videos in label_videos(corpus, space).items()
-        if videos
-    }
-    if not pools:
+    labels_of = matches_by_video(corpus, space)
+    if not labels_of:
         raise ValidationError("no video matches any label")
-    labels_of: dict[str, list[str]] = {}
-    for label, videos in pools.items():
-        for v in videos:
-            labels_of.setdefault(v.id, []).append(label)
+    # pools in label-space order: sqrt_weights sums the roots in this order
+    pools: dict[str, list[VideoRecord]] = {label: [] for label in space.entries}
+    for video in sorted(corpus, key=lambda v: v.id):
+        for label in labels_of.get(video.id, ()):
+            pools[label].append(video)
+    pools = {label: videos for label, videos in pools.items() if videos}
     if plan.budget > len(labels_of):
         raise ValidationError(
             f"budget {plan.budget} exceeds matchable corpus size {len(labels_of)}"
@@ -205,7 +186,7 @@ def sample_tail_preserving(
     """Keep all videos of rare labels, subsample frequent ones to a budget."""
     if plan.strategy is not Strategy.TAIL_PRESERVING:
         raise ValidationError("plan.strategy must be TAIL_PRESERVING")
-    pools = _assignments(corpus, space, plan.seed)
+    pools = assigned_pools(corpus, space, plan.seed)
     if not pools:
         raise ValidationError("no video matches any label")
     counts = {label: len(videos) for label, videos in pools.items()}

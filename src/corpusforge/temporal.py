@@ -7,7 +7,9 @@ window centered at mid-duration (a 60 s video yields the 28-32 s window).
 Budget planners build a manifest from a length-class subset under either a
 fixed video count (the per-label distribution is preserved to within one
 video per label) or a fixed total duration (round-robin label-stratified
-fill, stopping before the budget is exceeded).
+fill, stopping before the budget is exceeded).  Videos whose hashtags match
+no label are skipped, as in sampling; the fixed count is checked against the
+matched videos.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .manifest import DatasetManifest, ManifestRow
-from .records import LabelSpace, ValidationError, VideoRecord, matches_by_video
+from .records import LabelSpace, ValidationError, VideoRecord, assigned_pools
 from .rng import make_rng
 
 CENTER_WINDOW_S = 4.0
@@ -112,23 +114,6 @@ def build_length_class(corpus: list[VideoRecord], cls: LengthClass) -> list[Vide
     return subset
 
 
-def _assigned_pools(
-    subset: list[VideoRecord], space: LabelSpace, seed: int
-) -> dict[str, list[VideoRecord]]:
-    matched_of = matches_by_video(subset, space)
-    pools: dict[str, list[VideoRecord]] = {}
-    for video in subset:
-        matched = matched_of.get(video.id)
-        if not matched:
-            raise ValidationError(f"video {video.id!r} matches no label")
-        rng = make_rng(seed, "assign", video.id)
-        label = matched[int(rng.integers(len(matched)))]
-        pools.setdefault(label, []).append(video)
-    for videos in pools.values():
-        videos.sort(key=lambda v: v.id)
-    return pools
-
-
 def _count_quotas(sizes: dict[str, int], count: int) -> dict[str, int]:
     """Largest-remainder split of ``count`` proportional to pool sizes."""
     total = sum(sizes.values())
@@ -163,7 +148,10 @@ def plan_budget(
                 f"video {video.id!r} ({video.duration_s}s) outside class "
                 f"{plan.length_class.value}"
             )
-    pools = _assigned_pools(subset, space, seed)
+    pools = assigned_pools(subset, space, seed)
+    if not pools:
+        raise ValidationError("no video in the subset matches any label")
+    label_of = {v.id: label for label, videos in pools.items() for v in videos}
     shuffled = {
         label: [videos[int(i)] for i in make_rng(seed, "budget", label).permutation(len(videos))]
         for label, videos in pools.items()
@@ -171,9 +159,9 @@ def plan_budget(
     picked: list[VideoRecord] = []
     if plan.mode is BudgetMode.FIXED_COUNT:
         assert plan.count is not None
-        if plan.count > len(subset):
+        if plan.count > len(label_of):
             raise ValidationError(
-                f"count {plan.count} exceeds subset size {len(subset)}"
+                f"count {plan.count} exceeds subset size {len(label_of)}"
             )
         quotas = _count_quotas({l: len(v) for l, v in pools.items()}, plan.count)
         for label in sorted(shuffled):
@@ -208,10 +196,6 @@ def plan_budget(
             f"mode=f2 minutes={plan.total_minutes:g} achieved_s={used:.6f} "
             f"class={plan.length_class.value} labelspace={space.name}"
         )
-    label_of = {}
-    for label, videos in pools.items():
-        for v in videos:
-            label_of[v.id] = label
     picked.sort(key=lambda v: v.id)
     rows = []
     for v in picked:

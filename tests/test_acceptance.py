@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from corpusforge.census import census_signature, cosine, decode_frames
-from corpusforge.dedup import build_index, dedup_report, frame_match, overlap
+from corpusforge.dedup import build_index, dedup_report, overlap
 from corpusforge.evalmetrics import (
     accuracy_topk,
     mean_average_precision,
@@ -167,7 +167,7 @@ def test_criterion_04_dedup_recall_and_lsh_oracle():
         for q in source_sigs[:6]:
             for k in range(len(q)):
                 truth_set = exhaustive_matches(q.frames[k], stored, tau=0.9)
-                got = set(frame_match(small_index, q.frames[k], tau=0.9))
+                got = set(small_index.match(q.frames[k], tau=0.9))
                 assert got <= truth_set
                 truth_count += len(truth_set)
                 found += len(got)

@@ -11,7 +11,6 @@ from corpusforge.dedup import (
     build_index,
     dedup_report,
     filter_flagged,
-    frame_match,
     overlap,
     save_report,
 )
@@ -32,14 +31,14 @@ def test_insert_then_query_self():
     sig = _sig("v", rng.uniform(0.1, 1.0, size=(5, 64)))
     index = LshIndex(seed=1)
     index.insert(sig)
-    matches = frame_match(index, sig.frames[2], tau=1.0 - 1e-12)
+    matches = index.match(sig.frames[2], tau=1.0 - 1e-12)
     assert ("v", 2) in matches
 
 
 def test_empty_index_no_candidates():
     index = LshIndex(seed=1)
     assert index.candidates(np.ones(64) / 64) == []
-    assert frame_match(index, np.ones(64) / 64) == []
+    assert index.match(np.ones(64) / 64) == []
 
 
 def test_strict_tau_rejects_perturbation():
@@ -48,7 +47,7 @@ def test_strict_tau_rejects_perturbation():
     index = LshIndex(seed=1)
     index.insert(sig)
     noisy = sig.frames[0] + 1e-3 * rng.uniform(size=64)
-    assert frame_match(index, noisy, tau=1.0) == []
+    assert index.match(noisy, tau=1.0) == []
 
 
 def test_band_collision_probability_for_dissimilar_vectors():
@@ -99,7 +98,7 @@ def test_noisy_copy_matched_at_target_cosine():
     assert abs(cosine(base, noisy) - 0.95) < 0.01
     index = LshIndex(seed=2)
     index.insert(_sig("v", base[None, :]))
-    assert ("v", 0) in frame_match(index, noisy, tau=0.9)
+    assert ("v", 0) in index.match(noisy, tau=0.9)
 
 
 def test_overlap_self_is_exactly_100():
@@ -157,7 +156,7 @@ def test_lsh_agrees_with_exhaustive_oracle():
     for q in queries:
         for k in range(len(q)):
             truth = exhaustive_matches(q.frames[k], stored, tau=0.9)
-            got = set(frame_match(index, q.frames[k], tau=0.9))
+            got = set(index.match(q.frames[k], tau=0.9))
             assert got <= truth  # exact-cosine filter can never overshoot
             truth_total += len(truth)
             found_total += len(got)

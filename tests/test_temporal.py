@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from corpusforge.manifest import manifest_bytes
 from corpusforge.records import ValidationError, VideoRecord
 from corpusforge.temporal import (
     BudgetMode,
@@ -186,6 +187,23 @@ def test_f1_insufficient_corpus():
     plan = BudgetPlan(BudgetMode.FIXED_COUNT, LengthClass.SHORT, count=4)
     with pytest.raises(ValidationError, match="exceeds subset"):
         plan_budget(corpus, plan, space, seed=0)
+
+
+def test_unmatched_videos_are_skipped():
+    subset, space = corpus_with_counts({"A": 6, "B": 3}, duration_s=3.0)
+    stranger = VideoRecord(id="b-stranger", duration_s=3.0, hashtags=frozenset({"noise"}))
+    mixed = subset[:4] + [stranger] + subset[4:]
+    for plan in [
+        BudgetPlan(BudgetMode.FIXED_COUNT, LengthClass.SHORT, count=9),
+        BudgetPlan(BudgetMode.FIXED_DURATION, LengthClass.SHORT, total_minutes=0.3),
+    ]:
+        alone = plan_budget(subset, plan, space, seed=5)
+        assert manifest_bytes(plan_budget(mixed, plan, space, seed=5)) == manifest_bytes(alone)
+    too_many = BudgetPlan(BudgetMode.FIXED_COUNT, LengthClass.SHORT, count=10)
+    with pytest.raises(ValidationError, match="exceeds subset size 9"):
+        plan_budget(mixed, too_many, space, seed=5)
+    with pytest.raises(ValidationError, match="matches any label"):
+        plan_budget([stranger], plan, space, seed=5)
 
 
 def test_plan_rejects_out_of_class_videos():
