@@ -11,6 +11,7 @@ fixed notation with 6 decimal places.  Clip times are quantized to the same
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -38,6 +39,10 @@ class ManifestRow:
     def __post_init__(self) -> None:
         object.__setattr__(self, "clip_start_s", _q(self.clip_start_s))
         object.__setattr__(self, "clip_len_s", _q(self.clip_len_s))
+        if not (math.isfinite(self.clip_start_s) and math.isfinite(self.clip_len_s)):
+            raise ValidationError(
+                f"row for video {self.video_id!r}: clip times must be finite"
+            )
         if self.clip_start_s < 0:
             raise ValidationError(
                 f"row for video {self.video_id!r}: clip_start_s < 0"
@@ -131,9 +136,12 @@ def save_manifest(
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse a manifest file; unknown fields and malformed rows are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         return DatasetManifest(rows=[], provenance={}, seed=0)
+    # not splitlines(): it also breaks at U+0085, U+2028 and U+2029, which
+    # _row_line and _header_line leave unescaped inside JSON strings
+    lines = text.split("\n")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
@@ -151,6 +159,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{path}:{lineno}: expected a JSON object")
         unknown = set(obj) - _ROW_FIELDS
         if unknown:
             raise ValidationError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
@@ -166,7 +176,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                     clip_len_s=float(obj["clip_len_s"]),
                 )
             )
-        except ValidationError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return DatasetManifest(
         rows=rows,

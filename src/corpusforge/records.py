@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -41,15 +42,23 @@ class VideoRecord:
     source_uri: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise ValidationError("video id must be non-empty")
-        if not self.duration_s > 0:
-            raise ValidationError(f"video {self.id!r}: duration_s must be > 0")
-        if not self.frame_rate > 0:
-            raise ValidationError(f"video {self.id!r}: frame_rate must be > 0")
-        tags = frozenset(t.lower() for t in self.hashtags)
+        if not isinstance(self.id, str) or not self.id:
+            raise ValidationError("video id must be a non-empty string")
+        if not 0 < self.duration_s < math.inf:
+            raise ValidationError(f"video {self.id!r}: duration_s must be finite and > 0")
+        if not 0 < self.frame_rate < math.inf:
+            raise ValidationError(f"video {self.id!r}: frame_rate must be finite and > 0")
+        if self.source_uri is not None and not isinstance(self.source_uri, str):
+            raise ValidationError(f"video {self.id!r}: source_uri must be a string")
+        if isinstance(self.hashtags, (str, dict)):
+            raise ValidationError(f"video {self.id!r}: hashtags must be a list of strings")
+        try:
+            tags = frozenset(map(str.lower, self.hashtags))
+        except TypeError as exc:
+            raise ValidationError(f"video {self.id!r}: hashtags must be strings") from exc
         for tag in tags:
-            if not tag or "#" in tag or any(ch.isspace() for ch in tag):
+            # split() != [tag]: empty, or contains a character str.isspace() accepts
+            if "#" in tag or tag.split() != [tag]:
                 raise ValidationError(f"video {self.id!r}: bad hashtag {tag!r}")
         object.__setattr__(self, "hashtags", tags)
 
@@ -135,8 +144,11 @@ def assign_label(video_id: str, matched: list[str], seed: int) -> str:
     """Collapse a video's sorted matched labels to one, uniformly at random.
 
     The choice is a pure function of (video id, seed), so a corpus can be
-    assigned in any order or in parallel.
+    assigned in any order or in parallel.  A single match is returned
+    without a draw: ``integers(1)`` is always 0.
     """
+    if len(matched) == 1:
+        return matched[0]
     rng = make_rng(seed, "assign", video_id)
     return matched[int(rng.integers(len(matched)))]
 
@@ -162,7 +174,7 @@ def assigned_pools(
 # ---------------------------------------------------------------------------
 # Corpus persistence: JSONL, one VideoRecord per line.
 
-_CORPUS_FIELDS = {"id", "duration_s", "hashtags", "frame_rate", "source_uri"}
+_CORPUS_FIELDS = frozenset({"id", "duration_s", "hashtags", "frame_rate", "source_uri"})
 
 
 def load_corpus(path: str | Path) -> list[VideoRecord]:
@@ -176,21 +188,25 @@ def load_corpus(path: str | Path) -> list[VideoRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
                 raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            unknown = set(obj) - _CORPUS_FIELDS
-            if unknown:
-                raise ValidationError(f"{path}:{lineno}: unknown fields {sorted(unknown)}")
+            if not isinstance(obj, dict):
+                raise ValidationError(f"{path}:{lineno}: expected a JSON object")
+            if not _CORPUS_FIELDS.issuperset(obj):
+                unknown = sorted(set(obj) - _CORPUS_FIELDS)
+                raise ValidationError(f"{path}:{lineno}: unknown fields {unknown}")
             try:
                 rec = VideoRecord(
                     id=obj["id"],
                     duration_s=float(obj["duration_s"]),
-                    hashtags=frozenset(obj.get("hashtags", [])),
+                    hashtags=obj.get("hashtags", ()),
                     frame_rate=float(obj.get("frame_rate", 16.0)),
                     source_uri=obj.get("source_uri"),
                 )
             except KeyError as exc:
                 raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             if rec.id in seen:
                 raise ValidationError(f"{path}:{lineno}: duplicate video id {rec.id!r}")
             seen.add(rec.id)

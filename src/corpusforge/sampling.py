@@ -21,6 +21,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .manifest import DatasetManifest, ManifestRow
 from .records import (
     LabelHistogram,
@@ -129,10 +131,14 @@ def sample_square_root(
 
     rng = make_rng(plan.seed, "sqrt")
     rows: list[ManifestRow] = []
+    labels: list[str] = []
     while len(rows) < plan.budget:
-        labels = sorted(pools)
-        total = sum(weights[l] for l in labels)
-        probs = [weights[l] / total for l in labels]
+        # pools only shrink, so a length change means a pool emptied and
+        # the weights must be renormalized over the labels left
+        if len(labels) != len(pools):
+            labels = sorted(pools)
+            total = sum(weights[l] for l in labels)
+            probs = np.array([weights[l] / total for l in labels])
         label = labels[int(rng.choice(len(labels), p=probs))]
         pool = pools[label]
         video = pool[int(rng.integers(len(pool)))]

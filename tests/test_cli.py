@@ -201,3 +201,21 @@ def test_cli_eval_clips(capsys):
     assert main(["eval", "clips", "--frames", "100", "--clip-len", "8"]) == 0
     out = capsys.readouterr().out.strip()
     assert json.loads(out) == [0, 10, 20, 31, 41, 51, 61, 72, 82, 92]
+
+
+@pytest.mark.parametrize("missing", ["--corpus", "--labelspace"])
+def test_cli_missing_input_file_is_one_line_error(pipeline_files, capsys, missing):
+    tmp_path, corpus_path, _seeds_path = pipeline_files
+    space_path = tmp_path / "space.json"
+    space_path.write_text('{"entries":{"a":["a"]},"kind":"seed","min_count":1,"name":"s"}\n')
+    paths = {"--corpus": str(corpus_path), "--labelspace": str(space_path)}
+    paths[missing] = str(tmp_path / "absent.json")
+    rc = main(
+        ["sample", "--strategy", "random", "--budget", "1",
+         "--corpus", paths["--corpus"], "--labelspace", paths["--labelspace"],
+         "-o", str(tmp_path / "out.jsonl")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "absent.json" in err
+    assert len(err.splitlines()) == 1

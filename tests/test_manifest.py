@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.manifest import (
     DatasetManifest,
@@ -184,3 +189,125 @@ def test_video_record_invariants():
         VideoRecord(id="v", duration_s=1.0, hashtags=frozenset({"has space"}))
     rec = VideoRecord(id="v", duration_s=1.0, hashtags=frozenset({"UPPER"}))
     assert rec.hashtags == frozenset({"upper"})
+
+
+def test_hashtag_check_matches_per_character_reference():
+    # every code point as a one-character tag, lowercased as VideoRecord does
+    def reference_bad(tag):
+        return not tag or "#" in tag or any(ch.isspace() for ch in tag)
+
+    good, bad = [], []
+    for cp in range(0x110000):
+        tag = chr(cp)
+        (bad if reference_bad(tag.lower()) else good).append(tag)
+    for i in range(0, len(good), 0x10000):
+        VideoRecord(id="v", duration_s=1.0, hashtags=good[i : i + 0x10000])
+    assert len(bad) > 20  # the whitespace code points and "#"
+    for tag in bad + [f"a{tag}b" for tag in bad] + [""]:
+        with pytest.raises(ValidationError, match="bad hashtag"):
+            VideoRecord(id="v", duration_s=1.0, hashtags=[tag])
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"id":"v2","duration_s":5.0,"hashtags":"xyz"}', "list of strings"),
+        ('{"id":"v2","duration_s":5.0,"hashtags":["a",7]}', "must be strings"),
+        ('{"id":"v2","duration_s":5.0,"hashtags":null}', "must be strings"),
+        ('{"id":"v2","duration_s":"abc","hashtags":["a"]}', "could not convert"),
+        ('{"id":"v2","duration_s":null,"hashtags":["a"]}', "float"),
+        ('{"id":"v2","duration_s":Infinity,"hashtags":["a"]}', "finite"),
+        ('{"id":"v2","duration_s":NaN,"hashtags":["a"]}', "finite"),
+        ('{"id":"v2","duration_s":1' + "0" * 400 + ',"hashtags":["a"]}', "too large"),
+        ('{"id":"v2","duration_s":5.0,"frame_rate":-Infinity}', "frame_rate"),
+        ('{"id":"v2","duration_s":5.0,"frame_rate":1e999}', "frame_rate"),
+        ('{"id":7,"duration_s":5.0}', "non-empty string"),
+        ('{"id":["v2"],"duration_s":5.0}', "non-empty string"),
+        ('{"id":"v2","duration_s":5.0,"source_uri":{"a":1}}', "source_uri"),
+        ('{"duration_s":5.0}', "missing field"),
+        ('["v2", 5.0]', "JSON object"),
+        ("{not json", "bad JSON"),
+    ],
+)
+def test_corpus_bad_line_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id":"v1","duration_s":5.0,"hashtags":["a"]}\n' + line + "\n")
+    with pytest.raises(ValidationError, match=message) as info:
+        load_corpus(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _corpus_lines(draw):
+    """A well-formed record line, half the time with one field dropped or
+    replaced by an arbitrary JSON value (or an unknown field added)."""
+    obj = draw(
+        st.fixed_dictionaries(
+            {"id": st.text(min_size=1, max_size=6), "duration_s": st.floats(1e-3, 1e6)},
+            optional={
+                "hashtags": st.lists(st.text(min_size=1, max_size=6), max_size=4),
+                "frame_rate": st.floats(1.0, 120.0) | st.integers(1, 240),
+                "source_uri": st.none() | st.text(max_size=8),
+            },
+        )
+    )
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["id", "duration_s", "hashtags", "frame_rate", "source_uri", "extra"]))
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(_json)
+    return json.dumps(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpus_lines() | st.text(max_size=30))
+def test_corpus_line_loads_and_round_trips_or_names_its_line(tmp_path_factory, line):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        corpus = load_corpus(path)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    again = path.with_name("again.jsonl")
+    save_corpus(corpus, again)
+    assert load_corpus(again) == corpus
+
+
+@pytest.mark.parametrize("start, length", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_row_rejects_non_finite_clip_times(start, length):
+    with pytest.raises(ValidationError, match="finite"):
+        ManifestRow("v", "l", start, length)
+
+
+_finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _manifests(draw):
+    ids = draw(st.lists(st.text(), unique=True, max_size=8))
+    rows = []
+    for video_id in ids:
+        # lengths below 5e-7 quantize to 0, which ManifestRow rejects
+        length = draw(st.floats(min_value=1e-6, allow_infinity=False))
+        rows.append(ManifestRow(video_id, draw(st.text()), draw(_finite), length))
+    provenance = draw(st.dictionaries(st.text(), st.text(), max_size=3))
+    return DatasetManifest(rows=rows, provenance=provenance, seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_manifests())
+def test_manifest_save_load_round_trips_with_stable_bytes(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
+    save_manifest(m, path)
+    loaded = load_manifest(path)
+    assert loaded == m
+    assert manifest_bytes(loaded) == path.read_bytes()

@@ -4,9 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from corpusforge.manifest import manifest_bytes
-from corpusforge.records import LabelHistogram, LabelKind, LabelSpace, ValidationError
+from corpusforge import records
+from corpusforge.manifest import ManifestRow, manifest_bytes
+from corpusforge.records import (
+    LabelHistogram,
+    LabelKind,
+    LabelSpace,
+    ValidationError,
+    VideoRecord,
+    assigned_pools,
+    matches_by_video,
+)
+from corpusforge.rng import make_rng
 from corpusforge.sampling import (
     SamplingPlan,
     Strategy,
@@ -232,3 +244,119 @@ def test_subset_labels_out_of_range():
         subset_labels(space, 0, 0)
     with pytest.raises(ValidationError):
         subset_labels(space, 6, 0)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the per-draw reference implementations
+
+
+def _reference_sqrt_rows(corpus, space, plan):
+    """Square-root sampling as first written: labels re-sorted and the
+    probability vector rebuilt on every draw."""
+    labels_of = matches_by_video(corpus, space)
+    pools = {label: [] for label in space.entries}
+    for video in sorted(corpus, key=lambda v: v.id):
+        for label in labels_of.get(video.id, ()):
+            pools[label].append(video)
+    pools = {label: videos for label, videos in pools.items() if videos}
+    weights = sqrt_weights(
+        LabelHistogram({label: len(videos) for label, videos in pools.items()})
+    )
+    pos = {label: {v.id: i for i, v in enumerate(videos)} for label, videos in pools.items()}
+
+    def _remove(label, video_id):
+        pool, index = pools[label], pos[label]
+        i = index.pop(video_id)
+        last = pool.pop()
+        if last.id != video_id:
+            pool[i] = last
+            index[last.id] = i
+        if not pool:
+            del pools[label]
+
+    rng = make_rng(plan.seed, "sqrt")
+    rows = []
+    while len(rows) < plan.budget:
+        labels = sorted(pools)
+        total = sum(weights[l] for l in labels)
+        probs = [weights[l] / total for l in labels]
+        label = labels[int(rng.choice(len(labels), p=probs))]
+        pool = pools[label]
+        video = pool[int(rng.integers(len(pool)))]
+        for l in labels_of[video.id]:
+            _remove(l, video.id)
+        rows.append(ManifestRow(video.id, label, 0.0, video.duration_s))
+    return rows
+
+
+@st.composite
+def _multilabel_corpus(draw):
+    n_labels = draw(st.integers(1, 8))
+    tags = [f"t{k}" for k in range(n_labels)]
+    space = LabelSpace(
+        name="h",
+        kind=LabelKind.SEED,
+        entries={f"L{k}": frozenset({tags[k]}) for k in range(n_labels)},
+        min_count=1,
+    )
+    n_videos = draw(st.integers(1, 40))
+    corpus = [
+        VideoRecord(
+            id=f"v{i:03d}",
+            duration_s=1.0 + i,
+            # a draw without a label tag leaves the video unmatched
+            hashtags=draw(st.sets(st.sampled_from(tags + ["noise"]), max_size=3)),
+        )
+        for i in range(n_videos)
+    ]
+    return corpus, space
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multilabel_corpus(), st.integers(0, 2**64 - 1), st.data())
+def test_square_root_matches_per_draw_reference(corpus_space, seed, data):
+    corpus, space = corpus_space
+    matched = len(matches_by_video(corpus, space))
+    assume(matched > 0)
+    budget = data.draw(st.integers(1, matched))
+    plan = SamplingPlan(Strategy.SQUARE_ROOT, budget=budget, seed=seed)
+    rows = sample_square_root(corpus, space, plan).rows
+    assert rows == _reference_sqrt_rows(corpus, space, plan)
+
+
+def test_assign_draws_only_for_multi_label_videos(monkeypatch):
+    corpus = []
+    for i in range(300):
+        n = 1 + i % 3 if i % 10 else 0  # every tenth video unmatched
+        corpus.append(
+            VideoRecord(id=f"v{i:04d}", duration_s=2.0, hashtags={f"t{(i + k) % 7}" for k in range(n)})
+        )
+    space = LabelSpace(
+        name="s",
+        kind=LabelKind.SEED,
+        entries={f"L{k}": frozenset({f"t{k}"}) for k in range(7)},
+        min_count=1,
+    )
+    matches = matches_by_video(corpus, space)
+    multi = sum(len(m) > 1 for m in matches.values())
+    assert 0 < multi < len(matches)
+
+    # reference: draw for every matched video, as before the single-label shortcut
+    expected: dict[str, list[VideoRecord]] = {}
+    for video in corpus:
+        m = matches.get(video.id)
+        if m:
+            label = m[int(make_rng(5, "assign", video.id).integers(len(m)))]
+            expected.setdefault(label, []).append(video)
+
+    calls = []
+
+    def counting_make_rng(seed, *keys):
+        calls.append(keys)
+        return make_rng(seed, *keys)
+
+    monkeypatch.setattr(records, "make_rng", counting_make_rng)
+    pools = assigned_pools(corpus, space, seed=5)
+    assert pools == expected
+    assert len(calls) == multi
+    assert all(keys[0] == "assign" and len(matches[keys[1]]) > 1 for keys in calls)
