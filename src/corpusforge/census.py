@@ -8,6 +8,7 @@ the descriptor invariant to brightness shifts and robust to rescaling.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,8 +89,11 @@ class FrameVideo:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim not in (3, 4) or self.frames.shape[0] == 0:
             raise ValidationError(f"video {self.video_id!r}: no frames")
-        if self.fps <= 0:
-            raise ValidationError(f"video {self.video_id!r}: fps must be > 0")
+        h, w = self.frames.shape[1:3]
+        if h == 0 or w == 0:
+            raise ValidationError(f"video {self.video_id!r}: frames are {h}x{w} pixels")
+        if not 0 < self.fps < math.inf:
+            raise ValidationError(f"video {self.video_id!r}: fps must be finite and > 0")
 
     @property
     def num_frames(self) -> int:
@@ -183,14 +187,22 @@ def load_raw_frames(path: str | Path, video_id: str | None = None) -> FrameVideo
     if len(payload) != n * h * w:
         raise ValidationError(f"{path}: truncated payload")
     frames = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w).astype(np.float64)
-    return FrameVideo(video_id=video_id or path.stem, fps=fps, frames=frames)
+    try:
+        return FrameVideo(video_id=video_id or path.stem, fps=fps, frames=frames)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
-def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Plain cosine similarity; zero vectors yield 0."""
+def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Plain cosine similarity; zero vectors yield 0.
+
+    A 1-D ``v`` gives a float; a 2-D ``v`` gives the cosine of ``u`` with each
+    of its rows, computed by one matrix-vector product.
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u @ v / (nu * nv))
+    rows = np.atleast_2d(v)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(rows, axis=1)
+    nonzero = (nv != 0.0) & (nu != 0.0)
+    sims = np.divide(rows @ u, nu * nv, out=np.zeros(len(rows)), where=nonzero)
+    return float(sims[0]) if v.ndim == 1 else sims

@@ -117,8 +117,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_video_list(spec: str) -> list:
-    """A directory of .cfvd files or a text file listing paths."""
+def _video_files(spec: str) -> list[Path]:
+    """The .cfvd files of a directory, or the paths listed in a text file."""
     path = Path(spec)
     if path.is_dir():
         files = sorted(path.glob("*.cfvd"))
@@ -127,12 +127,15 @@ def _load_video_list(spec: str) -> list:
             files = [Path(line.strip()) for line in fh if line.strip()]
     if not files:
         raise ValidationError(f"{spec}: no videos found")
-    return [load_raw_frames(f) for f in files]
+    return files
 
 
 def _cmd_dedup(args: argparse.Namespace) -> int:
-    sources = [decode_frames(v) for v in _load_video_list(args.sources)]
-    targets = [decode_frames(v) for v in _load_video_list(args.targets)]
+    source_files = _video_files(args.sources)
+    target_files = _video_files(args.targets)
+    # one raw (float64) video in memory at a time; only signatures are kept
+    sources = [decode_frames(load_raw_frames(f)) for f in source_files]
+    targets = [decode_frames(load_raw_frames(f)) for f in target_files]
     report = dedup_mod.dedup_report(
         sources,
         targets,

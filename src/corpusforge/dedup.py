@@ -31,11 +31,14 @@ class LshIndex:
     """Random-hyperplane LSH over 64-dim signatures.
 
     Each band hashes a vector to r sign bits (dot product against r random
-    unit hyperplanes); a vector is stored in all b band tables.  Similar
-    vectors share a band key with probability (1 - theta/pi)^r per band.
+    unit hyperplanes).  The index keeps one row per stored frame: its
+    signature in an (n, dim) array and its b band keys in an (n, b) array.
+    Similar vectors share a band key with probability (1 - theta/pi)^r per
+    band; the candidates of a query are the rows sharing at least one key.
 
-    Build is single-writer; once populated, queries are read-only and safe
-    to run concurrently.
+    Build is single-writer.  The first query after an insert stacks the new
+    rows; after it returns, queries are read-only and safe to run
+    concurrently.
     """
 
     def __init__(
@@ -54,44 +57,49 @@ class LshIndex:
         planes = rng.standard_normal((bands * bits, dim))
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
         self.planes = planes.reshape(bands, bits, dim)
-        self._tables: list[dict[int, list[int]]] = [{} for _ in range(bands)]
         self._entries: list[tuple[str, int]] = []
-        self._vectors: list[np.ndarray] = []
+        self._vectors = np.empty((0, dim), dtype=np.float64)
+        self._keys = np.empty((0, bands), dtype=np.int64)
+        # blocks inserted since the last query; stacked once by _stack(), so
+        # that n inserts cost one copy of the index, not n
+        self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def keys(self, vector: np.ndarray) -> list[int]:
+    def _band_keys(self, vectors: np.ndarray) -> np.ndarray:
+        """(n, bands) r-bit keys of the rows of an (n, dim) array."""
+        bits = (vectors @ self.planes.reshape(-1, self.dim).T) > 0.0
+        weights = 1 << np.arange(self.bits, dtype=np.int64)
+        return bits.reshape(len(vectors), self.bands, self.bits) @ weights
+
+    def keys(self, vector: np.ndarray) -> np.ndarray:
         """The b band keys of a vector (r-bit integers)."""
         v = np.asarray(vector, dtype=np.float64)
-        bits = (self.planes @ v) > 0.0  # (bands, bits)
-        weights = 1 << np.arange(self.bits)
-        return [int(b @ weights) for b in bits]
+        return self._band_keys(v[None, :])[0]
 
     def insert(self, sig: SignatureSequence) -> None:
         """Index every frame of a signature sequence."""
-        for frame_idx in range(len(sig)):
-            vector = sig.frames[frame_idx]
-            entry = len(self._entries)
-            self._entries.append((sig.video_id, frame_idx))
-            self._vectors.append(vector)
-            for band, key in enumerate(self.keys(vector)):
-                self._tables[band].setdefault(key, []).append(entry)
+        self._entries.extend((sig.video_id, frame_idx) for frame_idx in range(len(sig)))
+        self._pending.append((sig.frames, self._band_keys(sig.frames)))
+
+    def _stack(self) -> None:
+        if self._pending:
+            vectors, keys = zip(*self._pending)
+            self._vectors = np.concatenate((self._vectors, *vectors))
+            self._keys = np.concatenate((self._keys, *keys))
+            self._pending = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def candidates(self, vector: np.ndarray) -> list[int]:
-        """Union of band-collision entries, sorted for determinism."""
-        found: set[int] = set()
-        for band, key in enumerate(self.keys(vector)):
-            found.update(self._tables[band].get(key, ()))
-        return sorted(found)
+        """Entries sharing at least one band key with the vector, in index order."""
+        self._stack()
+        return np.flatnonzero((self._keys == self.keys(vector)).any(axis=1)).tolist()
 
     def match(self, vector: np.ndarray, tau: float = DEFAULT_TAU) -> list[tuple[str, int]]:
-        """Candidates verified by exact cosine >= tau."""
-        out = []
-        for entry in self.candidates(vector):
-            if cosine(vector, self._vectors[entry]) >= tau:
-                out.append(self._entries[entry])
-        return out
+        """Candidates verified by exact cosine >= tau, with one cosine for all."""
+        found = self.candidates(vector)  # stacks pending inserts into _vectors
+        sims = cosine(vector, self._vectors[found])
+        return [self._entries[found[i]] for i in np.flatnonzero(sims >= tau)]
 
 
 def build_index(

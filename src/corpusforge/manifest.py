@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .records import ValidationError, VideoRecord
+from .records import ValidationError, VideoRecord, _reject_non_utf8
 
 FORMAT_TAG = "corpusforge-manifest-v1"
 
@@ -135,10 +135,12 @@ def save_manifest(
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse a manifest file; unknown fields and malformed rows are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
     if not text:
-        return DatasetManifest(rows=[], provenance={}, seed=0)
+        raise ValidationError(f"{path}:1: empty file, expected a manifest header")
+    if not text.isascii():
+        _reject_non_utf8(path, text)
     # not splitlines(): it also breaks at U+0085, U+2028 and U+2029, which
     # _row_line and _header_line leave unescaped inside JSON strings
     lines = text.split("\n")
@@ -146,11 +148,19 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:1: bad JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError(f"{path}:1: header must be a JSON object")
     if header.get("format") != FORMAT_TAG:
         raise ValidationError(f"{path}:1: unsupported format {header.get('format')!r}")
     unknown = set(header) - {"format", "seed", "provenance"}
     if unknown:
         raise ValidationError(f"{path}:1: unknown header fields {sorted(unknown)}")
+    seed = header.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ValidationError(f"{path}:1: seed must be an integer in [0, 2**64), got {seed!r}")
+    provenance = header.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValidationError(f"{path}:1: provenance must be a JSON object")
     rows: list[ManifestRow] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -178,8 +188,4 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             )
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return DatasetManifest(
-        rows=rows,
-        provenance=dict(header.get("provenance", {})),
-        seed=int(header.get("seed", 0)),
-    )
+    return DatasetManifest(rows=rows, provenance=provenance, seed=seed)

@@ -177,12 +177,25 @@ def assigned_pools(
 _CORPUS_FIELDS = frozenset({"id", "duration_s", "hashtags", "frame_rate", "source_uri"})
 
 
+def _reject_non_utf8(path: str | Path, text: str, first_line: int = 1) -> None:
+    """Name the line of the first byte that is not UTF-8 in text read with
+    ``errors="surrogateescape"``, which turns such bytes into lone surrogates.
+    Callers skip ASCII text (``str.isascii`` is O(1))."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        lineno = first_line + text.count("\n", 0, exc.start)
+        raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def load_corpus(path: str | Path) -> list[VideoRecord]:
     """Read a corpus JSONL file; duplicate ids are rejected."""
     records: list[VideoRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                _reject_non_utf8(path, line, lineno)
             line = line.strip()
             if not line:
                 continue

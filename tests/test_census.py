@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.census import (
     FrameVideo,
@@ -16,7 +21,7 @@ from corpusforge.census import (
 from corpusforge.records import ValidationError
 from corpusforge.synth import ramp_frame, ramp_video
 
-from oracles import census_codes_oracle, census_signature_oracle
+from oracles import census_codes_oracle, census_signature_oracle, cosine_oracle
 
 
 def test_constant_frame_is_one_hot_at_zero():
@@ -172,3 +177,63 @@ def test_decode_rgb_video_uses_luma():
     sig_rgb = decode_frames(FrameVideo("rgb", fps=16.0, frames=rgb))
     sig_gray = decode_frames(FrameVideo("gray", fps=16.0, frames=gray))
     assert np.allclose(sig_rgb.frames, sig_gray.frames)
+
+
+@pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf, 0.0])
+def test_video_rejects_non_finite_or_zero_fps(fps):
+    with pytest.raises(ValidationError, match="fps must be finite"):
+        FrameVideo("v", fps=fps, frames=np.zeros((2, 8, 8)))
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 8), (2, 8, 0), (2, 0, 0, 3)])
+def test_video_rejects_zero_size_frames(shape):
+    with pytest.raises(ValidationError, match="pixels"):
+        FrameVideo("v", fps=16.0, frames=np.zeros(shape))
+
+
+def _write_cfvd(path, width: int, height: int, count: int, fps: float) -> None:
+    header = struct.pack("<4sIIIf", b"CFVD", width, height, count, fps)
+    path.write_bytes(header + bytes(width * height * count))
+
+
+@pytest.mark.parametrize(
+    "width, height, fps, message",
+    [
+        (8, 8, math.nan, "fps"),
+        (8, 8, math.inf, "fps"),
+        (0, 8, 16.0, "0 pixels"),
+        (8, 0, 16.0, "0x8 pixels"),
+    ],
+)
+def test_raw_frames_that_cannot_decode_name_the_file(tmp_path, width, height, fps, message):
+    path = tmp_path / "bad.cfvd"
+    _write_cfvd(path, width, height, 3, fps)
+    with pytest.raises(ValidationError, match=message) as info:
+        load_raw_frames(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+_coords = st.integers(-10**6, 10**6).map(lambda k: k / 1000.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 8), st.integers(0, 6))
+def test_cosine_rows_equal_oracle(data, dim, n_rows):
+    u = np.array(data.draw(st.lists(_coords, min_size=dim, max_size=dim)))
+    rows = np.array(
+        [data.draw(st.lists(_coords, min_size=dim, max_size=dim)) for _ in range(n_rows)]
+    ).reshape(n_rows, dim)
+    sims = cosine(u, rows)
+    assert sims.shape == (n_rows,)
+    for row, sim in zip(rows, sims):
+        assert abs(sim - cosine_oracle(u, row)) <= 1e-12
+        single = cosine(u, row)
+        assert isinstance(single, float) and single == cosine(u, row[None, :])[0]
+
+
+def test_cosine_zero_rows_and_zero_query_give_zero():
+    rows = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [-3.0, 0.5, 1.0]])
+    sims = cosine(np.array([2.0, 0.0, 1.0]), rows)
+    assert sims[1] == 0.0 and sims[0] != 0.0
+    assert np.array_equal(cosine(np.zeros(3), rows), np.zeros(3))
+    assert cosine(np.zeros(3), rows[0]) == 0.0

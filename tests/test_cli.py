@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
@@ -218,4 +220,45 @@ def test_cli_missing_input_file_is_one_line_error(pipeline_files, capsys, missin
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "absent.json" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("width, height, fps", [(8, 8, math.nan), (0, 8, 16.0)])
+def test_cli_dedup_undecodable_video_is_one_line_error(tmp_path, capsys, width, height, fps):
+    src_dir, tgt_dir = tmp_path / "sources", tmp_path / "targets"
+    src_dir.mkdir()
+    tgt_dir.mkdir()
+    save_raw_frames(ramp_video("orig", list(range(4))), tgt_dir / "orig.cfvd")
+    bad = src_dir / "bad.cfvd"
+    bad.write_bytes(struct.pack("<4sIIIf", b"CFVD", width, height, 2, fps) + bytes(2 * width * height))
+    rc = main(["dedup", "--sources", str(src_dir), "--targets", str(tgt_dir), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("sample", b'\xff\xfe{"id":"v","duration_s":1.0}\n', ":1: not valid UTF-8"),
+        ("validate", b"[1]\n", ":1: header must be a JSON object"),
+        ("validate", b'{"format":"corpusforge-manifest-v1","seed":"x","provenance":{}}\n', ":1: seed must be"),
+        ("validate", b"", ":1: empty file"),
+    ],
+)
+def test_cli_malformed_input_is_one_line_error(pipeline_files, capsys, command, content, message):
+    tmp_path, _corpus_path, _seeds_path = pipeline_files
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(content)
+    space_path = tmp_path / "space.json"
+    space_path.write_text('{"entries":{"a":["a"]},"kind":"seed","min_count":1,"name":"s"}\n')
+    if command == "sample":
+        argv = ["sample", "--strategy", "random", "--budget", "1", "--corpus", str(bad),
+                "--labelspace", str(space_path), "-o", str(tmp_path / "out.jsonl")]
+    else:
+        argv = ["manifest", "validate", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}{message}")
     assert len(err.splitlines()) == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.census import SignatureSequence, cosine, decode_frames
 from corpusforge.dedup import (
@@ -15,6 +17,7 @@ from corpusforge.dedup import (
     save_report,
 )
 from corpusforge.records import ValidationError
+from corpusforge.rng import make_rng
 from corpusforge.synth import ramp_video, tile_video
 
 from oracles import exhaustive_matches
@@ -215,3 +218,98 @@ def test_overlap_rejects_empty_source():
             SignatureSequence("e", np.zeros((0, 64))),
             build_index([]),
         )
+
+
+def _old_cosine(u: np.ndarray, v: np.ndarray) -> float:
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v / (nu * nv))
+
+
+class _DictTableIndex:
+    """The per-band dict-table index with per-pair cosine verification that
+    LshIndex replaced; kept as the reference its results must equal."""
+
+    def __init__(self, bands: int, bits: int, seed: int, dim: int = 64) -> None:
+        self.bands, self.bits = bands, bits
+        planes = make_rng(seed, "lsh-planes").standard_normal((bands * bits, dim))
+        planes /= np.linalg.norm(planes, axis=1, keepdims=True)
+        self.planes = planes.reshape(bands, bits, dim)
+        self._tables: list[dict[int, list[int]]] = [{} for _ in range(bands)]
+        self._entries: list[tuple[str, int]] = []
+        self._vectors: list[np.ndarray] = []
+
+    def keys(self, vector: np.ndarray) -> list[int]:
+        bits = (self.planes @ np.asarray(vector, dtype=np.float64)) > 0.0
+        weights = 1 << np.arange(self.bits)
+        return [int(b @ weights) for b in bits]
+
+    def insert(self, sig: SignatureSequence) -> None:
+        for frame_idx in range(len(sig)):
+            entry = len(self._entries)
+            self._entries.append((sig.video_id, frame_idx))
+            self._vectors.append(sig.frames[frame_idx])
+            for band, key in enumerate(self.keys(sig.frames[frame_idx])):
+                self._tables[band].setdefault(key, []).append(entry)
+
+    def candidates(self, vector: np.ndarray) -> list[int]:
+        found: set[int] = set()
+        for band, key in enumerate(self.keys(vector)):
+            found.update(self._tables[band].get(key, ()))
+        return sorted(found)
+
+    def match(self, vector: np.ndarray, tau: float) -> list[tuple[str, int]]:
+        return [
+            self._entries[e] for e in self.candidates(vector)
+            if _old_cosine(vector, self._vectors[e]) >= tau
+        ]
+
+
+def _census_like(rng: np.random.Generator, n: int, density: float) -> np.ndarray:
+    """(n, 64) non-negative count rows, each with at least one nonzero bin."""
+    counts = rng.integers(0, 6, size=(n, 64)) * (rng.random((n, 64)) < density)
+    counts[np.arange(n), rng.integers(0, 64, size=n)] += 1
+    return counts.astype(np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    st.sampled_from([(16, 8), (4, 4), (2, 1), (1, 12)]),
+    st.sampled_from([0.1, 0.5, 1.0]),
+)
+def test_index_equals_dict_table_reference(data_seed, index_seed, sizes, shape, density):
+    rng = np.random.default_rng(data_seed)
+    bands, bits = shape
+    sigs = [_sig(f"v{i}", _census_like(rng, n, density)) for i, n in enumerate(sizes)]
+    index = LshIndex(bands=bands, bits=bits, seed=index_seed)
+    reference = _DictTableIndex(bands, bits, index_seed)
+    fresh = _sig("q", _census_like(rng, 4, density)).frames
+    for sig in sigs:
+        index.insert(sig)
+        reference.insert(sig)
+        stored = sig.frames
+        # perturbed copies: cosines near 1 and on both sides of 0.9
+        near = [np.abs(stored + s * rng.standard_normal(stored.shape) * stored.mean()) for s in (0.05, 1.0)]
+        queries = [*stored, *near[0], *near[1], *fresh, np.zeros(64)]
+        assert len(index) == len(reference._entries)
+        for q in queries:
+            assert index.candidates(q) == reference.candidates(q)
+            for tau in (0.5, 0.9, 1.0 - 1e-12):
+                assert index.match(q, tau) == reference.match(q, tau)
+        for frame_idx, vector in enumerate(stored):
+            assert (sig.video_id, frame_idx) in index.match(vector, 1.0 - 1e-12)
+
+
+def test_inserts_stack_once_before_a_query():
+    index = LshIndex(seed=3)
+    rng = np.random.default_rng(4)
+    sigs = [_sig(f"v{i}", rng.uniform(0.1, 1.0, size=(3, 64))) for i in range(5)]
+    for sig in sigs:
+        index.insert(sig)
+    assert len(index) == 15 and len(index._pending) == 5  # nothing stacked per insert
+    assert ("v2", 1) in index.match(sigs[2].frames[1], tau=1.0 - 1e-12)
+    assert index._pending == [] and index._vectors.shape == (15, 64)

@@ -38,11 +38,13 @@ def _manifest() -> DatasetManifest:
     return DatasetManifest(rows=rows, provenance={"builder": "test"}, seed=42)
 
 
-def test_empty_file_loads_as_zero_rows(tmp_path):
+def test_empty_file_is_rejected(tmp_path):
+    # save_manifest always writes a header, so no saved manifest is empty
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    manifest = load_manifest(path)
-    assert manifest.rows == []
+    with pytest.raises(ValidationError, match="empty file") as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}:1: ")
 
 
 def test_round_trip_and_byte_stability(tmp_path):
@@ -311,3 +313,79 @@ def test_manifest_save_load_round_trips_with_stable_bytes(tmp_path_factory, m):
     loaded = load_manifest(path)
     assert loaded == m
     assert manifest_bytes(loaded) == path.read_bytes()
+
+
+_HEADER = {"format": "corpusforge-manifest-v1", "seed": 0, "provenance": {}}
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("[1]", "header must be a JSON object"),
+        ('"x"', "header must be a JSON object"),
+        (json.dumps({**_HEADER, "seed": "x"}), "seed must be an integer"),
+        (json.dumps({**_HEADER, "seed": 1.5}), "seed must be an integer"),
+        (json.dumps({**_HEADER, "seed": True}), "seed must be an integer"),
+        (json.dumps({**_HEADER, "seed": -1}), "seed must be an integer"),
+        (json.dumps({**_HEADER, "seed": 2**64}), "seed must be an integer"),
+        (json.dumps({**_HEADER, "provenance": [1]}), "provenance must be a JSON object"),
+    ],
+)
+def test_manifest_bad_header_names_line_one(tmp_path, header, message):
+    path = tmp_path / "m.jsonl"
+    path.write_text(header + "\n")
+    with pytest.raises(ValidationError, match=message) as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}:1: ")
+
+
+@pytest.mark.parametrize("line", [3, 1])
+def test_non_utf8_bytes_name_their_line(tmp_path, line):
+    good = '{"id":"v%d","duration_s":1.0,"hashtags":["caf\u00e9"]}'
+    lines = [(good % k).encode("utf-8") for k in range(3)]
+    lines[line - 1] = b"\xff\xfe" + lines[line - 1]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValidationError, match="not valid UTF-8") as info:
+        load_corpus(path)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+    m = tmp_path / "m.jsonl"
+    save_manifest(_manifest(), m)
+    rows = m.read_bytes().split(b"\n")
+    rows[line - 1] = b"\xc3(" + rows[line - 1]
+    m.write_bytes(b"\n".join(rows))
+    with pytest.raises(ValidationError, match="not valid UTF-8") as info:
+        load_manifest(m)
+    assert str(info.value).startswith(f"{m}:{line}: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=40) | _corpus_lines().map(lambda s: s.encode("utf-8") + b"\n\xff\n"))
+def test_corpus_bytes_load_or_name_their_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_bytes(data)
+    try:
+        load_corpus(path)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{path}:")
+
+
+_headers = _json.map(json.dumps) | st.fixed_dictionaries(
+    {"format": st.just("corpusforge-manifest-v1")},
+    optional={"seed": _json, "provenance": _json},
+).map(json.dumps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=40) | _headers.map(lambda h: (h + "\n").encode("utf-8")))
+def test_manifest_bytes_load_and_round_trip_or_name_their_line(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
+    path.write_bytes(data)
+    try:
+        m = load_manifest(path)
+    except ValidationError as exc:
+        assert str(exc).startswith(f"{path}:")
+        return
+    again = path.with_name("again.jsonl")
+    save_manifest(m, again)
+    assert load_manifest(again) == m
