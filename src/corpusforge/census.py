@@ -197,12 +197,15 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     """Plain cosine similarity; zero vectors yield 0.
 
     A 1-D ``v`` gives a float; a 2-D ``v`` gives the cosine of ``u`` with each
-    of its rows, computed by one matrix-vector product.
+    of its rows.  Every product and norm is one ``vecdot`` per row, which sums
+    as the 1-D ``u @ row`` and ``norm(row)`` do, so each row's value is
+    bit-for-bit that of the pair alone (a matrix product or ``norm(axis=1)``
+    rounds differently and can move a cosine across ``tau``).
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     rows = np.atleast_2d(v)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(rows, axis=1)
+    nu, nv = np.sqrt(np.vecdot(u, u)), np.sqrt(np.vecdot(rows, rows))
     nonzero = (nv != 0.0) & (nu != 0.0)
-    sims = np.divide(rows @ u, nu * nv, out=np.zeros(len(rows)), where=nonzero)
+    sims = np.divide(np.vecdot(rows, u), nu * nv, out=np.zeros(len(rows)), where=nonzero)
     return float(sims[0]) if v.ndim == 1 else sims

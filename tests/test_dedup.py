@@ -227,6 +227,22 @@ def _old_cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(u @ v / (nu * nv))
 
 
+def test_cosine_of_each_row_is_bitwise_the_pair_alone():
+    # (3,1,5,5)/14 against (2,6,2,4)/14 is exactly 0.5; a row norm taken with
+    # norm(rows, axis=1) rounded differently and gave 0.4999999999999999
+    q, r = np.zeros(64), np.zeros(64)
+    q[[32, 35, 46, 49]] = np.array([3, 1, 5, 5]) / 14
+    r[[4, 46, 50, 55]] = np.array([2, 6, 2, 4]) / 14
+    assert _old_cosine(q, r) == 0.5
+    assert cosine(q, np.stack([r, r])).tolist() == [0.5, 0.5]
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 300):
+        rows = _census_like(rng, n, 0.3)
+        rows /= rows.sum(axis=1, keepdims=True)
+        u = rows[0] * rng.random(64)
+        assert cosine(u, rows).tolist() == [_old_cosine(u, row) for row in rows]
+
+
 class _DictTableIndex:
     """The per-band dict-table index with per-pair cosine verification that
     LshIndex replaced; kept as the reference its results must equal."""
