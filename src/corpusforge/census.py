@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import ValidationError
+from .records import ValidationError, read_exact, write_file
 
 SIGNATURE_DIM = 64
 DEFAULT_FPS = 16.0
@@ -169,27 +169,20 @@ def save_raw_frames(video: FrameVideo, path: str | Path) -> None:
         frames = np.stack([to_grayscale(f) for f in frames])
     data = np.clip(np.rint(frames), 0, 255).astype(np.uint8)
     n, h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(_CFVD_HEADER.pack(_CFVD_MAGIC, w, h, n, float(video.fps)))
-        fh.write(data.tobytes())
+    write_file(path, b"".join((_CFVD_HEADER.pack(_CFVD_MAGIC, w, h, n, float(video.fps)), data)))
 
 
 def load_raw_frames(path: str | Path, video_id: str | None = None) -> FrameVideo:
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(_CFVD_HEADER.size)
-        if len(header) != _CFVD_HEADER.size:
-            raise ValidationError(f"{path}: truncated header")
-        magic, w, h, n, fps = _CFVD_HEADER.unpack(header)
+        magic, w, h, n, fps = _CFVD_HEADER.unpack(read_exact(fh, _CFVD_HEADER.size, path, "header"))
         if magic != _CFVD_MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}")
-        payload = fh.read(n * h * w)
-    if len(payload) != n * h * w:
-        raise ValidationError(f"{path}: truncated payload")
-    frames = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w).astype(np.float64)
+        payload = read_exact(fh, n * h * w, path, "payload")
     try:
+        frames = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w).astype(np.float64)
         return FrameVideo(video_id=video_id or path.stem, fps=fps, frames=frames)
-    except ValidationError as exc:
+    except ValueError as exc:  # a ValidationError, or dims numpy cannot shape
         raise ValidationError(f"{path}: {exc}") from exc
 
 
@@ -197,10 +190,7 @@ def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> 
     """Plain cosine similarity; zero vectors yield 0.
 
     A 1-D ``v`` gives a float; a 2-D ``v`` gives the cosine of ``u`` with each
-    of its rows.  Every product and norm is one ``vecdot`` per row, which sums
-    as the 1-D ``u @ row`` and ``norm(row)`` do, so each row's value is
-    bit-for-bit that of the pair alone (a matrix product or ``norm(axis=1)``
-    rounds differently and can move a cosine across ``tau``).
+    of its rows, each by ``vecdot`` so that it is bit for bit the pair's own value.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)

@@ -20,14 +20,16 @@ from .inflate import fcn_transform, inflate, inflation_equivalence, inflate_net
 from .labelspace import PosHint, build_label_space, load_seed_file, verbnoun_seeds
 from .manifest import load_manifest, save_manifest
 from .netops import load_net, save_net
-from .probe import ProbeMode, load_features, train_probe
+from .probe import ProbeMode, load_features, load_probe, save_probe, train_probe
 from .records import (
     LabelKind,
     ValidationError,
     label_histogram,
     load_corpus,
     load_label_space,
+    read_lines,
     save_label_space,
+    write_file,
 )
 from .sampling import SamplingPlan, Strategy, sample
 from .schedule import lr_schedule, save_schedule
@@ -123,8 +125,7 @@ def _video_files(spec: str) -> list[Path]:
     if path.is_dir():
         files = sorted(path.glob("*.cfvd"))
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            files = [Path(line.strip()) for line in fh if line.strip()]
+        files = [Path(line.strip()) for _lineno, line in read_lines(path) if line.strip()]
     if not files:
         raise ValidationError(f"{spec}: no videos found")
     return files
@@ -145,8 +146,7 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
     )
     dedup_mod.save_report(report, args.output)
     kept = dedup_mod.filter_flagged([s.video_id for s in sources], report)
-    with open(Path(args.output) / "kept_sources.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(kept) + "\n")
+    write_file(Path(args.output) / "kept_sources.txt", ("\n".join(kept) + "\n").encode("utf-8"))
     print(
         f"wrote {args.output}: {len(report.pairs)} overlapping pairs, "
         f"{len(report.flagged_sources())} sources flagged"
@@ -157,9 +157,7 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
 def _cmd_inflate(args: argparse.Namespace) -> int:
     in_path, out_path = Path(args.input), Path(args.output)
     if in_path.suffix == ".wtsr":
-        tensor = load_weights(in_path)
-        if tensor.layout is not Layout.CONV2D:
-            raise ValidationError("inflate expects (out,in,h,w) conv weights")
+        tensor = load_weights(in_path, Layout.CONV2D)
         inflated = inflate(tensor.data.astype(np.float64), args.k)
         save_weights(WeightTensor(inflated, Layout.CONV3D), out_path)
     else:
@@ -171,6 +169,8 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
 
 def _cmd_verify_inflation(args: argparse.Namespace) -> int:
     net = load_net(args.net)
+    if not net.is_2d():
+        raise ValidationError(f"{args.net}: verify-inflation needs a net of 2D conv layers")
     channels = net.conv_layers()[0].weights.shape[1]
     rng = np.random.default_rng(args.seed)
     x2d = rng.standard_normal((channels, args.size, args.size))
@@ -207,13 +207,7 @@ def _cmd_probe_train(args: argparse.Namespace) -> int:
     model = train_probe(
         features, targets, mode=mode, l2_lambda=args.l2, iters=args.iters, step=args.step
     )
-    np.savez(
-        args.output,
-        weights=model.weights,
-        bias=model.bias,
-        mode=mode.value,
-        l2_lambda=model.l2_lambda,
-    )
+    save_probe(model, args.output)
     print(f"wrote {args.output}: final loss {model.final_loss:.6f}")
     return 0
 
@@ -221,8 +215,10 @@ def _cmd_probe_train(args: argparse.Namespace) -> int:
 def _cmd_probe_eval(args: argparse.Namespace) -> int:
     mode = ProbeMode(args.mode)
     features, targets = load_features(args.features, mode)
-    blob = np.load(args.model)
-    logits = features @ blob["weights"].T + blob["bias"]
+    model = load_probe(args.model)
+    if model.mode is not mode or features.shape[1] != model.weights.shape[1]:
+        raise ValidationError(f"{args.model}: does not fit {mode.value} features {features.shape}")
+    logits = model.logits(features)
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
         top1 = accuracy_topk(logits, targets, k=1)
         print(f"top-1 accuracy: {top1:.4f}")
@@ -339,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--l2", type=float, default=1e-4)
     pt.add_argument("--iters", type=int, default=1000)
     pt.add_argument("--step", type=float, default=1.0)
-    pt.add_argument("-o", "--output", required=True, help="model .npz path")
+    pt.add_argument("-o", "--output", required=True, help="model path (.npz archive)")
     pt.set_defaults(func=_cmd_probe_train)
     pe = pr_sub.add_parser("eval")
     pe.add_argument("--features", required=True)

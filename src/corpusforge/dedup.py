@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .census import SIGNATURE_DIM, SignatureSequence, cosine
-from .records import ValidationError
+from .records import ValidationError, write_file
 from .rng import make_rng
 
 DEFAULT_BANDS = 16
@@ -192,21 +192,19 @@ def save_report(report: OverlapReport, out_dir: str | Path) -> None:
     """Write pairs JSONL plus a summary JSON with params and flag count."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "overlap_pairs.jsonl", "w", encoding="utf-8") as fh:
-        for source_id, target_id, pct in report.pairs:
-            fh.write(
-                json.dumps(
-                    {"source_id": source_id, "target_id": target_id, "overlap_pct": round(pct, 6)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    summary = {
+    pairs = (
+        json.dumps(
+            {"source_id": source_id, "target_id": target_id, "overlap_pct": round(pct, 6)},
+            sort_keys=True,
+        )
+        + "\n"
+        for source_id, target_id, pct in report.pairs
+    )
+    write_file(out / "overlap_pairs.jsonl", "".join(pairs).encode("utf-8"))
+    doc = {
         "params": report.params,
         "num_pairs": len(report.pairs),
         "num_flagged_pairs": len(report.flagged),
         "flagged_sources": sorted(report.flagged_sources()),
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_file(out / "summary.json", (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())

@@ -22,7 +22,9 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .records import LabelKind, LabelSpace, ValidationError, VideoRecord, label_histogram
+from .records import (
+    LabelKind, LabelSpace, ValidationError, VideoRecord, label_histogram, read_lines
+)
 
 STOPWORDS = frozenset({"a", "an", "the", "of", "on", "in", "to", "with"})
 
@@ -175,11 +177,9 @@ def parse_seed_phrase(text: str, default_hint: PosHint = PosHint.OTHER) -> SeedL
 def load_seed_file(path: str | Path, default_hint: PosHint = PosHint.OTHER) -> list[SeedLabel]:
     """One phrase per line; blank lines and #-comments skipped."""
     seeds = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
+    for _lineno, line in read_lines(path):
+        line = line.strip()
+        if line and not line.startswith("#"):
             seeds.append(parse_seed_phrase(line, default_hint))
     if not seeds:
         raise ValidationError(f"{path}: no seed phrases")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .records import ValidationError, VideoRecord, _reject_non_utf8
+from .records import ValidationError, VideoRecord, read_lines, write_file
 
 FORMAT_TAG = "corpusforge-manifest-v1"
 
@@ -37,6 +37,8 @@ class ManifestRow:
     clip_len_s: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str) or not isinstance(self.label, str):
+            raise ValidationError(f"row {self.video_id!r}: video_id and label must be strings")
         object.__setattr__(self, "clip_start_s", _q(self.clip_start_s))
         object.__setattr__(self, "clip_len_s", _q(self.clip_len_s))
         if not (math.isfinite(self.clip_start_s) and math.isfinite(self.clip_len_s)):
@@ -70,15 +72,6 @@ class DatasetManifest:
                     f"duplicate row (video {row.video_id!r}, start {row.clip_start_s})"
                 )
             seen.add(key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DatasetManifest):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.provenance == other.provenance
-            and self.seed == other.seed
-        )
 
     def validate_against(self, corpus: Sequence[VideoRecord]) -> None:
         """Check that every row fits inside its referenced video."""
@@ -128,25 +121,18 @@ def save_manifest(
     """Write the canonical JSONL; validation runs before any bytes hit disk."""
     if corpus is not None:
         m.validate_against(corpus)
-    data = manifest_bytes(m)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    write_file(path, manifest_bytes(m))
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Parse a manifest file; unknown fields and malformed rows are rejected."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    if not text:
+    lines = read_lines(path)
+    _lineno, first = next(lines, (1, None))
+    if first is None:
         raise ValidationError(f"{path}:1: empty file, expected a manifest header")
-    if not text.isascii():
-        _reject_non_utf8(path, text)
-    # not splitlines(): it also breaks at U+0085, U+2028 and U+2029, which
-    # _row_line and _header_line leave unescaped inside JSON strings
-    lines = text.split("\n")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(first)
+    except (ValueError, RecursionError) as exc:  # also an overlong integer, deep nesting
         raise ValidationError(f"{path}:1: bad JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ValidationError(f"{path}:1: header must be a JSON object")
@@ -162,12 +148,12 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not isinstance(provenance, dict):
         raise ValidationError(f"{path}:1: provenance must be a JSON object")
     rows: list[ManifestRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValidationError(f"{path}:{lineno}: expected a JSON object")
@@ -186,6 +172,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                     clip_len_s=float(obj["clip_len_s"]),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return DatasetManifest(rows=rows, provenance=provenance, seed=seed)
+    try:
+        return DatasetManifest(rows=rows, provenance=provenance, seed=seed)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

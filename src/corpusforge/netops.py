@@ -11,13 +11,13 @@ as a JSON file referencing one WTSR weight file per parameter tensor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .records import ValidationError
+from .records import ValidationError, read_json, write_file
 from .tensor import Layout, WeightTensor, load_weights, save_weights
 
 
@@ -186,28 +186,21 @@ class NetSpec:
         channels: int | None = None
         pooled = False
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, (Conv2dLayer, Conv3dLayer)):
-                if pooled:
-                    raise ValidationError(f"layer {i}: conv after global pooling")
-                out_ch, in_ch = layer.weights.shape[0], layer.weights.shape[1]
-                if channels is not None and in_ch != channels:
-                    raise ValidationError(
-                        f"layer {i}: expects {in_ch} input channels, gets {channels}"
-                    )
-                if layer.bias is not None and np.asarray(layer.bias).shape != (out_ch,):
-                    raise ValidationError(f"layer {i}: bias shape mismatch")
-                channels = out_ch
-            elif isinstance(layer, GlobalAvgPoolLayer):
-                pooled = True
-            elif isinstance(layer, DenseLayer):
-                out_dim, in_dim = np.asarray(layer.weights).shape
-                if channels is not None and in_dim != channels:
-                    raise ValidationError(
-                        f"layer {i}: dense expects {in_dim} features, gets {channels}"
-                    )
-                if layer.bias is not None and np.asarray(layer.bias).shape != (out_dim,):
-                    raise ValidationError(f"layer {i}: bias shape mismatch")
-                channels = out_dim
+            pooled = pooled or isinstance(layer, GlobalAvgPoolLayer)
+            if not fields(layer):
+                continue
+            conv = not isinstance(layer, DenseLayer)
+            if conv and pooled:
+                raise ValidationError(f"layer {i}: conv after global pooling")
+            if conv and layer.stride < 1:
+                raise ValidationError(f"layer {i}: stride must be >= 1")
+            out_ch, in_ch = np.shape(layer.weights)[:2]
+            if channels is not None and in_ch != channels:
+                unit = "input channels" if conv else "features"
+                raise ValidationError(f"layer {i}: expects {in_ch} {unit}, gets {channels}")
+            if layer.bias is not None and np.shape(layer.bias) != (out_ch,):
+                raise ValidationError(f"layer {i}: bias shape mismatch")
+            channels = out_ch
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.asarray(x, dtype=np.float64)
@@ -228,6 +221,18 @@ class NetSpec:
 
 NET_FORMAT_TAG = "corpusforge-net-v1"
 
+# A layer with parameters has the fields weights, bias, then the flags stored between
+# "weights" and "bias" in its descriptor; its kind names the Layout of its weights.
+_LAYER_KINDS: dict[str, type] = {
+    "conv2d": Conv2dLayer,
+    "conv3d": Conv3dLayer,
+    "dense": DenseLayer,
+    "relu": ReluLayer,
+    "global_avg_pool": GlobalAvgPoolLayer,
+    "softmax": SoftmaxLayer,
+}
+_KIND_OF = {cls: kind for kind, cls in _LAYER_KINDS.items()}
+
 
 def save_net(net: NetSpec, path: str | Path) -> None:
     path = Path(path)
@@ -235,94 +240,59 @@ def save_net(net: NetSpec, path: str | Path) -> None:
     parent.mkdir(parents=True, exist_ok=True)
     described = []
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, (Conv2dLayer, Conv3dLayer)):
-            kind = "conv2d" if isinstance(layer, Conv2dLayer) else "conv3d"
-            layout = Layout.CONV2D if kind == "conv2d" else Layout.CONV3D
-            wfile = f"{stem}_l{i}_w.wtsr"
-            save_weights(WeightTensor(layer.weights, layout), parent / wfile)
-            entry: dict[str, object] = {
-                "kind": kind,
-                "weights": wfile,
-                "stride": layer.stride,
-                "same_pad": layer.same_pad,
-            }
-            if isinstance(layer, Conv3dLayer):
-                entry["time_same_pad"] = layer.time_same_pad
-            if layer.bias is not None:
-                bfile = f"{stem}_l{i}_b.wtsr"
-                save_weights(WeightTensor(np.asarray(layer.bias), Layout.VECTOR), parent / bfile)
-                entry["bias"] = bfile
-            described.append(entry)
-        elif isinstance(layer, DenseLayer):
-            wfile = f"{stem}_l{i}_w.wtsr"
-            save_weights(WeightTensor(layer.weights, Layout.DENSE), parent / wfile)
-            entry = {"kind": "dense", "weights": wfile}
-            if layer.bias is not None:
-                bfile = f"{stem}_l{i}_b.wtsr"
-                save_weights(WeightTensor(np.asarray(layer.bias), Layout.VECTOR), parent / bfile)
-                entry["bias"] = bfile
-            described.append(entry)
-        elif isinstance(layer, ReluLayer):
-            described.append({"kind": "relu"})
-        elif isinstance(layer, GlobalAvgPoolLayer):
-            described.append({"kind": "global_avg_pool"})
-        elif isinstance(layer, SoftmaxLayer):
-            described.append({"kind": "softmax"})
-        else:
+        kind = _KIND_OF.get(type(layer))
+        if kind is None:
             raise ValidationError(f"cannot serialize layer {layer!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"format": NET_FORMAT_TAG, "layers": described}, fh, indent=1)
-        fh.write("\n")
+        entry: dict[str, object] = {"kind": kind}
+        if fields(layer):
+            entry["weights"] = wfile = f"{stem}_l{i}_w.wtsr"
+            save_weights(WeightTensor(layer.weights, Layout(kind)), parent / wfile)
+            entry.update((f.name, getattr(layer, f.name)) for f in fields(layer)[2:])
+            if layer.bias is not None:
+                entry["bias"] = bfile = f"{stem}_l{i}_b.wtsr"
+                save_weights(WeightTensor(np.asarray(layer.bias), Layout.VECTOR), parent / bfile)
+        described.append(entry)
+    text = json.dumps({"format": NET_FORMAT_TAG, "layers": described}, indent=1) + "\n"
+    write_file(path, text.encode("utf-8"))
+
+
+def _load_layer(path: Path, i: int, entry: object) -> Layer:
+    if not isinstance(entry, dict):
+        raise ValidationError(f"{path}: layer {i}: expected a JSON object")
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+        raise ValidationError(f"{path}: layer {i}: unknown layer kind {kind!r}")
+    cls = _LAYER_KINDS[kind]
+    tensors = (("weights", Layout(kind)), ("bias", Layout.VECTOR)) if fields(cls) else ()
+    try:
+        params = {
+            name: load_weights(path.parent / entry[name], layout).data.astype(np.float64)
+            for name, layout in tensors
+            if name in entry
+        }
+        params.update(
+            (f.name, type(f.default)(entry[f.name])) for f in fields(cls)[2:] if f.name in entry
+        )
+        return cls(**params)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. no "weights", a bad flag
+        raise ValidationError(f"{path}: layer {i}: {exc}") from exc
 
 
 def load_net(path: str | Path) -> NetSpec:
     path = Path(path)
     if path.suffix == ".wtsr":
-        # a bare 4-dim tensor is accepted as a single-conv net
+        # a bare conv kernel is accepted as a single-conv net
         tensor = load_weights(path)
-        if tensor.layout is Layout.CONV2D:
-            return NetSpec([Conv2dLayer(weights=tensor.data.astype(np.float64))])
-        if tensor.layout is Layout.CONV3D:
-            return NetSpec([Conv3dLayer(weights=tensor.data.astype(np.float64))])
-        raise ValidationError(f"{path}: bare tensor must be a conv kernel")
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != NET_FORMAT_TAG:
-        raise ValidationError(f"{path}: unsupported format {obj.get('format')!r}")
-    layers: list[Layer] = []
-    for entry in obj["layers"]:
-        kind = entry["kind"]
-        if kind in ("conv2d", "conv3d"):
-            weights = load_weights(path.parent / entry["weights"]).data.astype(np.float64)
-            bias = None
-            if "bias" in entry:
-                bias = load_weights(path.parent / entry["bias"]).data.astype(np.float64)
-            if kind == "conv2d":
-                layers.append(
-                    Conv2dLayer(weights, bias, int(entry.get("stride", 1)), bool(entry.get("same_pad", True)))
-                )
-            else:
-                layers.append(
-                    Conv3dLayer(
-                        weights,
-                        bias,
-                        int(entry.get("stride", 1)),
-                        bool(entry.get("same_pad", True)),
-                        bool(entry.get("time_same_pad", True)),
-                    )
-                )
-        elif kind == "dense":
-            weights = load_weights(path.parent / entry["weights"]).data.astype(np.float64)
-            bias = None
-            if "bias" in entry:
-                bias = load_weights(path.parent / entry["bias"]).data.astype(np.float64)
-            layers.append(DenseLayer(weights, bias))
-        elif kind == "relu":
-            layers.append(ReluLayer())
-        elif kind == "global_avg_pool":
-            layers.append(GlobalAvgPoolLayer())
-        elif kind == "softmax":
-            layers.append(SoftmaxLayer())
-        else:
-            raise ValidationError(f"{path}: unknown layer kind {kind!r}")
-    return NetSpec(layers)
+        if tensor.layout not in (Layout.CONV2D, Layout.CONV3D):
+            raise ValidationError(f"{path}: bare tensor must be a conv kernel")
+        return NetSpec([_LAYER_KINDS[tensor.layout.value](tensor.data.astype(np.float64))])
+    obj = read_json(path)
+    if not isinstance(obj, dict) or obj.get("format") != NET_FORMAT_TAG:
+        raise ValidationError(f"{path}: expected a {NET_FORMAT_TAG} JSON object")
+    if not isinstance(obj.get("layers"), list):
+        raise ValidationError(f"{path}: layers must be a list")
+    layers = [_load_layer(path, i, entry) for i, entry in enumerate(obj["layers"])]
+    try:
+        return NetSpec(layers)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

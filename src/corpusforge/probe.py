@@ -8,18 +8,23 @@ multi-label targets.  The regularizer applies to the weights only.
 Feature files ("CFFT", little-endian):
   magic "CFFT", u32 n, u32 d, n*d f32 row-major features, then labels --
   n u32 class ids (multiclass) or an n x L u8 matrix (multilabel).
+
+Probe models are ``.npz`` archives of weights, bias, mode and l2_lambda.
 """
 from __future__ import annotations
 
 import enum
+import io
+import math
 import struct
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .netops import softmax
-from .records import ValidationError
+from .records import ValidationError, read_exact, write_file
 
 _CFFT_MAGIC = b"CFFT"
 _CFFT_HEADER = struct.Struct("<4sII")
@@ -104,8 +109,8 @@ def train_probe(
 ) -> ProbeModel:
     """Full-batch gradient descent from zero init; fully deterministic."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValidationError(f"features must be (n, d), got {x.shape}")
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("features contain non-finite values")
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
@@ -136,7 +141,7 @@ def train_probe(
 
 
 # ---------------------------------------------------------------------------
-# Feature file I/O.
+# Feature and model file I/O.
 
 
 def save_features(
@@ -144,36 +149,51 @@ def save_features(
 ) -> None:
     x = np.ascontiguousarray(features, dtype=np.float32)
     n, d = x.shape
-    with open(path, "wb") as fh:
-        fh.write(_CFFT_HEADER.pack(_CFFT_MAGIC, n, d))
-        fh.write(x.tobytes())
-        if mode is ProbeMode.SOFTMAX_MULTICLASS:
-            fh.write(np.ascontiguousarray(targets, dtype="<u4").tobytes())
-        else:
-            fh.write(np.ascontiguousarray(targets, dtype=np.uint8).tobytes())
+    dtype = "<u4" if mode is ProbeMode.SOFTMAX_MULTICLASS else np.uint8
+    labels = np.ascontiguousarray(targets, dtype=dtype)
+    write_file(path, b"".join((_CFFT_HEADER.pack(_CFFT_MAGIC, n, d), x, labels)))
 
 
 def load_features(path: str | Path, mode: ProbeMode) -> tuple[np.ndarray, np.ndarray]:
     """Read features and labels; the label block layout depends on mode."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(_CFFT_HEADER.size)
-        if len(header) != _CFFT_HEADER.size:
-            raise ValidationError(f"{path}: truncated header")
-        magic, n, d = _CFFT_HEADER.unpack(header)
+        magic, n, d = _CFFT_HEADER.unpack(read_exact(fh, _CFFT_HEADER.size, path, "header"))
         if magic != _CFFT_MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}")
-        feat = fh.read(4 * n * d)
+        feat = read_exact(fh, 4 * n * d, path, "features")
         rest = fh.read()
-    if len(feat) != 4 * n * d:
-        raise ValidationError(f"{path}: truncated features")
+    if n == 0:
+        raise ValidationError(f"{path}: no samples (n=0)")
     features = np.frombuffer(feat, dtype="<f4").reshape(n, d).astype(np.float64)
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
         if len(rest) != 4 * n:
             raise ValidationError(f"{path}: expected {4*n} label bytes, got {len(rest)}")
         targets = np.frombuffer(rest, dtype="<u4").astype(np.int64)
     else:
-        if n == 0 or len(rest) % n != 0:
+        if len(rest) % n != 0:
             raise ValidationError(f"{path}: multilabel block not divisible by n={n}")
         targets = np.frombuffer(rest, dtype=np.uint8).reshape(n, -1).astype(np.float64)
     return features, targets
+
+
+def save_probe(model: ProbeModel, path: str | Path) -> None:
+    """Write the model to exactly ``path`` (``np.savez`` alone appends ``.npz``)."""
+    fh = io.BytesIO()
+    np.savez(
+        fh, weights=model.weights, bias=model.bias, mode=model.mode.value, l2_lambda=model.l2_lambda
+    )
+    write_file(path, fh.getvalue())
+
+
+def load_probe(path: str | Path) -> ProbeModel:
+    """Read a model written by :func:`save_probe`; ``final_loss`` is not stored."""
+    try:
+        with np.load(path, allow_pickle=False) as blob:  # an .npy array has no ``with``
+            weights, bias = blob["weights"].astype(np.float64), blob["bias"].astype(np.float64)
+            mode, l2_lambda = ProbeMode(str(blob["mode"])), float(blob["l2_lambda"])
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path}: not a probe model: {exc}") from exc
+    if weights.ndim != 2 or bias.shape != weights.shape[:1]:
+        raise ValidationError(f"{path}: weights {weights.shape} and bias {bias.shape} mismatch")
+    return ProbeModel(weights, bias, mode, l2_lambda, final_loss=math.nan)

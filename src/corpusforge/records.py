@@ -11,11 +11,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 from .rng import make_rng
 
@@ -24,11 +25,83 @@ class ValidationError(ValueError):
     """Raised when a record or file violates a structural invariant."""
 
 
+# ---------------------------------------------------------------------------
+# The file layer: every format is read and written through these helpers.
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(lineno, line)`` for the lines of a UTF-8 text file, from 1.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``, not at U+0085, U+2028 or U+2029 as
+    ``str.splitlines()`` would: JSONL writers leave those unescaped in strings.
+    Bytes that are not UTF-8 read as lone surrogates (``surrogateescape``);
+    only non-ASCII lines are checked for them (``str.isascii`` is O(1))."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
+
+
+def read_json(path: str | Path) -> object:
+    """Parse a file holding one JSON document; errors name ``path:line``."""
+    text = "".join(line for _lineno, line in read_lines(path))
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}:{exc.lineno}: bad JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+        raise ValidationError(f"{path}: bad JSON: {exc}") from None
+
+
+def read_exact(fh: BinaryIO, size: int, path: str | Path, what: str) -> bytes:
+    """Read ``size`` bytes, or raise ``path: truncated what`` before allocating
+    anything when the file holds fewer (a header can claim any size)."""
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValidationError(f"{path}: truncated {what}")
+    return fh.read(size)
+
+
+def write_file(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` (a symlink itself, not its target) with ``data`` via a
+    temp file beside it and a rename: readers see the old or the new file,
+    never a part.  No fsync: atomic visibility, not power-loss durability."""
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")  # outside the try: a temp file this call did not create stays
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class LabelKind(enum.Enum):
     SEED = "seed"
     VERB = "verb"
     NOUN = "noun"
     VERB_NOUN = "verbnoun"
+
+
+def _hashtag_set(tags: object, owner: str, name: str) -> frozenset[str]:
+    """The one hashtag rule, for videos and labels: a list of strings, each
+    lowercased, none empty or holding ``#`` or whitespace."""
+    if isinstance(tags, (str, dict)):
+        raise ValidationError(f"{owner} {name!r}: hashtags must be a list of strings")
+    try:
+        tagset = frozenset(map(str.lower, tags))
+    except TypeError as exc:
+        raise ValidationError(f"{owner} {name!r}: hashtags must be strings") from exc
+    for tag in tagset:
+        # split() != [tag]: empty, or contains a character str.isspace() accepts
+        if "#" in tag or tag.split() != [tag]:
+            raise ValidationError(f"{owner} {name!r}: bad hashtag {tag!r}")
+    return tagset
 
 
 @dataclass(frozen=True)
@@ -50,17 +123,7 @@ class VideoRecord:
             raise ValidationError(f"video {self.id!r}: frame_rate must be finite and > 0")
         if self.source_uri is not None and not isinstance(self.source_uri, str):
             raise ValidationError(f"video {self.id!r}: source_uri must be a string")
-        if isinstance(self.hashtags, (str, dict)):
-            raise ValidationError(f"video {self.id!r}: hashtags must be a list of strings")
-        try:
-            tags = frozenset(map(str.lower, self.hashtags))
-        except TypeError as exc:
-            raise ValidationError(f"video {self.id!r}: hashtags must be strings") from exc
-        for tag in tags:
-            # split() != [tag]: empty, or contains a character str.isspace() accepts
-            if "#" in tag or tag.split() != [tag]:
-                raise ValidationError(f"video {self.id!r}: bad hashtag {tag!r}")
-        object.__setattr__(self, "hashtags", tags)
+        object.__setattr__(self, "hashtags", _hashtag_set(self.hashtags, "video", self.id))
 
 
 @dataclass(frozen=True)
@@ -77,12 +140,9 @@ class LabelSpace:
             raise ValidationError("min_count must be >= 1")
         frozen = {}
         for label, tags in self.entries.items():
-            tagset = frozenset(tags)
+            tagset = _hashtag_set(tags, "label", label)
             if not tagset:
                 raise ValidationError(f"label {label!r} has no hashtags")
-            for tag in tagset:
-                if "#" in tag or any(ch.isspace() for ch in tag):
-                    raise ValidationError(f"label {label!r}: bad hashtag {tag!r}")
             frozen[label] = tagset
         object.__setattr__(self, "entries", frozen)
 
@@ -101,9 +161,6 @@ class LabelHistogram:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def nonzero_labels(self) -> list[str]:
-        return sorted(l for l, n in self.counts.items() if n > 0)
 
 
 def label_histogram(corpus: list[VideoRecord], space: LabelSpace) -> LabelHistogram:
@@ -177,67 +234,54 @@ def assigned_pools(
 _CORPUS_FIELDS = frozenset({"id", "duration_s", "hashtags", "frame_rate", "source_uri"})
 
 
-def _reject_non_utf8(path: str | Path, text: str, first_line: int = 1) -> None:
-    """Name the line of the first byte that is not UTF-8 in text read with
-    ``errors="surrogateescape"``, which turns such bytes into lone surrogates.
-    Callers skip ASCII text (``str.isascii`` is O(1))."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        lineno = first_line + text.count("\n", 0, exc.start)
-        raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
-
-
 def load_corpus(path: str | Path) -> list[VideoRecord]:
     """Read a corpus JSONL file; duplicate ids are rejected."""
     records: list[VideoRecord] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                _reject_non_utf8(path, line, lineno)
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-                raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-            if not _CORPUS_FIELDS.issuperset(obj):
-                unknown = sorted(set(obj) - _CORPUS_FIELDS)
-                raise ValidationError(f"{path}:{lineno}: unknown fields {unknown}")
-            try:
-                rec = VideoRecord(
-                    id=obj["id"],
-                    duration_s=float(obj["duration_s"]),
-                    hashtags=obj.get("hashtags", ()),
-                    frame_rate=float(obj.get("frame_rate", 16.0)),
-                    source_uri=obj.get("source_uri"),
-                )
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if rec.id in seen:
-                raise ValidationError(f"{path}:{lineno}: duplicate video id {rec.id!r}")
-            seen.add(rec.id)
-            records.append(rec)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # also an overlong integer, deep nesting
+            raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{path}:{lineno}: expected a JSON object")
+        if not _CORPUS_FIELDS.issuperset(obj):
+            unknown = sorted(set(obj) - _CORPUS_FIELDS)
+            raise ValidationError(f"{path}:{lineno}: unknown fields {unknown}")
+        try:
+            rec = VideoRecord(
+                id=obj["id"],
+                duration_s=float(obj["duration_s"]),
+                hashtags=obj.get("hashtags", ()),
+                frame_rate=float(obj.get("frame_rate", 16.0)),
+                source_uri=obj.get("source_uri"),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if rec.id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate video id {rec.id!r}")
+        seen.add(rec.id)
+        records.append(rec)
     return records
 
 
 def save_corpus(corpus: Iterable[VideoRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in corpus:
-            obj = {
-                "id": rec.id,
-                "duration_s": rec.duration_s,
-                "hashtags": sorted(rec.hashtags),
-                "frame_rate": rec.frame_rate,
-                "source_uri": rec.source_uri,
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    objs = (
+        {
+            "id": rec.id,
+            "duration_s": rec.duration_s,
+            "hashtags": sorted(rec.hashtags),
+            "frame_rate": rec.frame_rate,
+            "source_uri": rec.source_uri,
+        }
+        for rec in corpus
+    )
+    write_file(path, "".join(json.dumps(o, sort_keys=True) + "\n" for o in objs).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +295,21 @@ def save_label_space(space: LabelSpace, path: str | Path) -> None:
         "min_count": space.min_count,
         "entries": {label: sorted(tags) for label, tags in space.entries.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_file(path, (json.dumps(obj, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
 def load_label_space(path: str | Path) -> LabelSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
+    if not isinstance(obj, dict) or not isinstance(obj.get("entries", {}), dict):
+        raise ValidationError(f"{path}: expected a JSON object with an object of entries")
     try:
         return LabelSpace(
             name=obj["name"],
             kind=LabelKind(obj["kind"]),
-            entries={l: frozenset(tags) for l, tags in obj["entries"].items()},
+            entries=obj["entries"],
             min_count=int(obj["min_count"]),
         )
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc

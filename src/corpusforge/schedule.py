@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .records import ValidationError
+from .records import ValidationError, write_file
 
 DEFAULT_BASE_LR = 0.192
 DEFAULT_REDUCTIONS = 13
@@ -91,6 +91,4 @@ def save_schedule(sched: LrSchedule, path: str | Path) -> None:
         "factor": sched.factor,
         "values": sched.values,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+    write_file(path, (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8"))

@@ -9,13 +9,14 @@ Round-trips are bit-exact for f32 data.
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .records import ValidationError
+from .records import ValidationError, read_exact, write_file
 
 _WTSR_MAGIC = b"WTSR"
 _WTSR_VERSION = 1
@@ -41,12 +42,8 @@ class WeightTensor:
         self.data = np.asarray(self.data)
         if not np.all(np.isfinite(self.data)):
             raise ValidationError("weight tensor contains non-finite values")
-        expected = {Layout.CONV2D: 4, Layout.CONV3D: 5, Layout.DENSE: 2, Layout.VECTOR: 1}
-        if self.data.ndim != expected[self.layout]:
-            raise ValidationError(
-                f"{self.layout.value} tensor must have {expected[self.layout]} dims, "
-                f"got shape {self.data.shape}"
-            )
+        if _NDIM_TO_LAYOUT.get(self.data.ndim) is not self.layout:
+            raise ValidationError(f"{self.layout.value} tensor cannot have shape {self.data.shape}")
         if any(d < 1 for d in self.data.shape):
             raise ValidationError(f"bad dims {self.data.shape}")
 
@@ -57,33 +54,25 @@ class WeightTensor:
 
 def save_weights(tensor: WeightTensor, path: str | Path) -> None:
     data = np.ascontiguousarray(tensor.data, dtype=np.float32)
-    with open(path, "wb") as fh:
-        fh.write(_WTSR_HEADER.pack(_WTSR_MAGIC, _WTSR_VERSION, 0, data.ndim))
-        fh.write(struct.pack(f"<{data.ndim}Q", *data.shape))
-        fh.write(data.tobytes())
+    header = _WTSR_HEADER.pack(_WTSR_MAGIC, _WTSR_VERSION, 0, data.ndim)
+    write_file(path, b"".join((header, struct.pack(f"<{data.ndim}Q", *data.shape), data)))
 
 
 def load_weights(path: str | Path, layout: Layout | None = None) -> WeightTensor:
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(_WTSR_HEADER.size)
-        if len(header) != _WTSR_HEADER.size:
-            raise ValidationError(f"{path}: truncated header")
-        magic, version, dtype, ndim = _WTSR_HEADER.unpack(header)
-        if magic != _WTSR_MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}")
-        if version != _WTSR_VERSION:
-            raise ValidationError(f"{path}: unsupported version {version}")
-        if dtype != 0:
-            raise ValidationError(f"{path}: unsupported dtype {dtype}")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        count = int(np.prod(dims)) if dims else 0
-        payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise ValidationError(f"{path}: truncated payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        magic, version, dtype, ndim = _WTSR_HEADER.unpack(
+            read_exact(fh, _WTSR_HEADER.size, path, "header")
+        )
+        if (magic, version, dtype) != (_WTSR_MAGIC, _WTSR_VERSION, 0):
+            raise ValidationError(f"{path}: bad magic {magic!r}, version {version}, dtype {dtype}")
+        dims = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path, "header"))
+        payload = read_exact(fh, 4 * math.prod(dims), path, "payload")
+    layout = layout or _NDIM_TO_LAYOUT.get(ndim)
     if layout is None:
-        if ndim not in _NDIM_TO_LAYOUT:
-            raise ValidationError(f"{path}: cannot infer layout for ndim {ndim}")
-        layout = _NDIM_TO_LAYOUT[ndim]
-    return WeightTensor(data=data.copy(), layout=layout)
+        raise ValidationError(f"{path}: cannot infer layout for ndim {ndim}")
+    try:
+        data = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        return WeightTensor(data=data.copy(), layout=layout)
+    except ValueError as exc:  # a ValidationError, or dims numpy cannot shape
+        raise ValidationError(f"{path}: {exc}") from exc

@@ -262,3 +262,81 @@ def test_cli_malformed_input_is_one_line_error(pipeline_files, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}{message}")
     assert len(err.splitlines()) == 1
+
+
+_SPACE = {"entries": {"a": ["a"]}, "kind": "seed", "min_count": 1, "name": "s"}
+_NET_ARGV = ["verify-inflation", "--net", "{bad}", "--k", "3"]
+_DEEP = "[" * 100_000  # nested deeper than the JSON decoder recurses
+
+
+@pytest.mark.parametrize(
+    "argv, name, content, message",
+    [
+        (["sample", "--labelspace", "{bad}"], "space.json", json.dumps({**_SPACE, "entries": [1]}), "entries"),
+        (["sample", "--labelspace", "{bad}"], "space.json", json.dumps({**_SPACE, "entries": {"a": [1]}}), "strings"),
+        (["sample", "--labelspace", "{bad}"], "space.json", json.dumps({**_SPACE, "kind": "bogus"}), "LabelKind"),
+        (["sample", "--labelspace", "{bad}"], "space.json", b"\xff\xfe{}", ":1: not valid UTF-8"),
+        (["labelspace", "build", "--seeds", "{bad}"], "seeds.txt", b"jump/v\n\xff\xfe\n", ":2: not valid UTF-8"),
+        (["dedup", "--sources", "{bad}"], "list.txt", b"\xff\xfe", ":1: not valid UTF-8"),
+        (_NET_ARGV, "net.json", '{"format":"corpusforge-net-v1","layers":[{}]}', "layer 0: unknown layer kind None"),
+        (_NET_ARGV, "net.json", '{"format":"corpusforge-net-v1","layers":[1]}', "layer 0: expected a JSON object"),
+        (_NET_ARGV, "net.json", "[]", "expected a corpusforge-net-v1 JSON object"),
+        (_NET_ARGV, "net.json", '{"format":"corpusforge-net-v1","layers":[{"kind":"relu"}]}', "2D conv"),
+        (["probe", "train", "--features", "{bad}"], "f.cfft", struct.pack("<4sII", b"CFFT", 0, 3), "no samples"),
+        (["probe", "eval", "--model", "{bad}"], "probe.npz", b"garbage", "not a probe model"),
+        pytest.param(["sample", "--labelspace", "{bad}"], "space.json", _DEEP, "bad JSON", id="deep-space"),
+        pytest.param(["manifest", "validate", "{bad}"], "m.jsonl", _DEEP, ":1: bad JSON", id="deep-manifest"),
+        pytest.param(["sample", "--corpus", "{bad}"], "c.jsonl", _DEEP, ":1: bad JSON", id="deep-corpus"),
+    ],
+)
+def test_cli_bad_input_is_one_line_error(pipeline_files, capsys, argv, name, content, message):
+    tmp_path, corpus_path, seeds_path = pipeline_files
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(_SPACE))
+    feat = tmp_path / "train.cfft"
+    save_features(np.eye(2, dtype=np.float32), np.array([0, 1]), ProbeMode.SOFTMAX_MULTICLASS, feat)
+    defaults = {
+        "sample": ["--strategy", "random", "--budget", "1", "--corpus", str(corpus_path),
+                   "--labelspace", str(space_path), "-o", str(tmp_path / "out.jsonl")],
+        "labelspace": ["--kind", "seed", "--corpus", str(corpus_path), "-o", str(tmp_path / "s.json")],
+        "dedup": ["--targets", str(tmp_path), "-o", str(tmp_path / "report")],
+        "verify-inflation": [],
+        "manifest": [],
+        "probe": ["--mode", "softmax", "--features", str(feat), "-o", str(tmp_path / "p.npz")]
+        if argv[1] == "train" else ["--mode", "softmax", "--features", str(feat)],
+    }
+    bad = tmp_path / "bad" / name
+    bad.parent.mkdir()
+    bad.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+    full = [a.replace("{bad}", str(bad)) for a in argv]
+    for flag, value in zip(defaults[argv[0]][::2], defaults[argv[0]][1::2]):
+        if flag not in full:
+            full += [flag, value]
+    assert main(full) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_probe_writes_exactly_the_output_name(tmp_path, capsys):
+    feat = tmp_path / "train.cfft"
+    save_features(np.eye(2, dtype=np.float32), np.array([0, 1]), ProbeMode.SOFTMAX_MULTICLASS, feat)
+    model = tmp_path / "probe.model"
+    assert main(["probe", "train", "--features", str(feat), "--mode", "softmax", "-o", str(model)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["probe.model", "train.cfft"]
+    assert main(["probe", "eval", "--features", str(feat), "--mode", "softmax", "--model", str(model)]) == 0
+    assert "top-1 accuracy: 1.0000" in capsys.readouterr().out
+    wide = tmp_path / "wide.cfft"
+    save_features(np.eye(3, dtype=np.float32), np.array([0, 1, 2]), ProbeMode.SOFTMAX_MULTICLASS, wide)
+    for features, mode in [(wide, "softmax"), (feat, "sigmoid")]:
+        rc = main(["probe", "eval", "--features", str(features), "--mode", mode, "--model", str(model)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: does not fit") and len(err.splitlines()) == 1
+    np.savez(tmp_path / "noweights.npz", bias=np.zeros(2), mode="softmax", l2_lambda=0.0)
+    rc = main(["probe", "eval", "--features", str(feat), "--mode", "softmax",
+               "--model", str(tmp_path / "noweights.npz")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'noweights.npz'}: ") and "weights" in err
+    assert len(err.splitlines()) == 1

@@ -273,6 +273,12 @@ def test_probe_needs_enough_samples():
         train_probe(np.zeros((2, 3)), np.array([0, 4]), ProbeMode.SOFTMAX_MULTICLASS)
 
 
+@pytest.mark.parametrize("mode, targets", [("softmax", np.zeros(0)), ("sigmoid", np.zeros((0, 2)))])
+def test_probe_on_zero_samples_is_a_validation_error(mode, targets):
+    with pytest.raises(ValidationError, match="n >= 1"):
+        train_probe(np.zeros((0, 3)), targets, ProbeMode(mode))
+
+
 def test_feature_file_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     x = rng.standard_normal((6, 3)).astype(np.float32)

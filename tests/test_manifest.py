@@ -98,6 +98,17 @@ def test_parse_error_carries_line_number(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("field", ["video_id", "label"])
+def test_row_ids_must_be_strings(tmp_path, field):
+    path = tmp_path / "m.jsonl"
+    row = {"video_id": "v", "label": "l", "clip_start_s": 0.0, "clip_len_s": 1.0, field: [1]}
+    header = '{"format":"corpusforge-manifest-v1","seed":0,"provenance":{}}'
+    path.write_text(header + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValidationError, match="must be strings") as info:
+        load_manifest(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+
+
 def test_duplicate_video_and_start_rejected():
     rows = [
         ManifestRow("vid-a", "jumping", 0.0, 4.0),
