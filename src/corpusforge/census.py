@@ -5,6 +5,9 @@ every interior pixel (bit i set iff the i-th of its 8 neighbors, clockwise
 from the top-left, is strictly greater) is histogrammed over 256 bins, folded
 4:1 down to 64, and L1-normalized.  Comparing against neighbors only makes
 the descriptor invariant to brightness shifts and robust to rescaling.
+
+The fold keeps only the top 6 code bits, so only those are computed: the two
+neighbors of bits 0 and 1 are never compared, and each code is the folded bin.
 """
 from __future__ import annotations
 
@@ -21,11 +24,14 @@ from .records import ValidationError, read_exact, write_file
 SIGNATURE_DIM = 64
 DEFAULT_FPS = 16.0
 DEFAULT_SIDE = 112
+MAX_DECODED_FRAMES = 2**18  # 4.5 hours at 16 fps; 128 MiB of signatures
 
 # clockwise from top-left: bit i compares neighbor at NEIGHBOR_OFFSETS[i]
 NEIGHBOR_OFFSETS = (
     (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1),
 )
+# code bits the 4:1 fold drops: their neighbors are never compared
+FOLDED_BITS = 2
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -40,10 +46,10 @@ def census_signature(frame: np.ndarray) -> np.ndarray:
     h, w = frame.shape
     center = frame[1:-1, 1:-1]
     codes = np.zeros(center.shape, dtype=np.uint16)
-    for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):
+    for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS[FOLDED_BITS:]):  # bit of the folded code
         neighbor = frame[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
         codes |= (neighbor > center).astype(np.uint16) << bit
-    hist = np.bincount((codes >> 2).ravel(), minlength=SIGNATURE_DIM).astype(np.float64)
+    hist = np.bincount(codes.ravel(), minlength=SIGNATURE_DIM).astype(np.float64)
     return hist / hist.sum()
 
 
@@ -133,9 +139,17 @@ def decode_frames(
     """Resample to target fps, grayscale, resize, and extract signatures.
 
     Resampling picks the nearest source frame to each output timestamp
-    k / target_fps for k in 0 .. round(duration * target_fps) - 1.
+    k / target_fps for k in 0 .. round(duration * target_fps) - 1.  A video
+    that would resample to more than MAX_DECODED_FRAMES (2**18) frames is
+    rejected before anything is allocated.
     """
-    n_out = max(1, int(round(video.duration_s * target_fps)))
+    span = video.duration_s * target_fps
+    if not span <= MAX_DECODED_FRAMES:
+        raise ValidationError(
+            f"video {video.video_id!r}: {video.num_frames} frames at {video.fps:g} fps resample "
+            f"to {span:g} frames at {target_fps:g} fps, over the {MAX_DECODED_FRAMES} limit"
+        )
+    n_out = max(1, int(round(span)))
     scale = video.fps / target_fps
     signatures = np.empty((n_out, SIGNATURE_DIM), dtype=np.float64)
     cache_idx = -1

@@ -21,6 +21,7 @@ from .records import ValidationError, VideoRecord, read_lines, write_file
 FORMAT_TAG = "corpusforge-manifest-v1"
 
 _ROW_FIELDS = {"video_id", "label", "clip_start_s", "clip_len_s"}
+_ROUNDING_SLACK = 2 * 0.5e-6 + 1e-9  # each of a row's two times rounds by up to 0.5e-6
 
 
 def _q(x: float) -> float:
@@ -74,13 +75,14 @@ class DatasetManifest:
             seen.add(key)
 
     def validate_against(self, corpus: Sequence[VideoRecord]) -> None:
-        """Check that every row fits inside its referenced video."""
+        """Check that every row fits inside its referenced video, up to the
+        rounding of its two times to 6 decimals (1e-6 in all, plus 1e-9)."""
         by_id = {v.id: v for v in corpus}
         for row in self.rows:
             video = by_id.get(row.video_id)
             if video is None:
                 raise ValidationError(f"row references unknown video {row.video_id!r}")
-            if row.clip_start_s + row.clip_len_s > video.duration_s + 1e-9:
+            if row.clip_start_s + row.clip_len_s > video.duration_s + _ROUNDING_SLACK:
                 raise ValidationError(
                     f"row for video {row.video_id!r}: clip "
                     f"[{row.clip_start_s}, {row.clip_start_s + row.clip_len_s}] "

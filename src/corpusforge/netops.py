@@ -274,7 +274,8 @@ def _load_layer(path: Path, i: int, entry: object) -> Layer:
             (f.name, type(f.default)(entry[f.name])) for f in fields(cls)[2:] if f.name in entry
         )
         return cls(**params)
-    except (TypeError, ValueError, OverflowError) as exc:  # e.g. no "weights", a bad flag
+    # e.g. no "weights", a bad flag, or a tensor file that is missing or a directory
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ValidationError(f"{path}: layer {i}: {exc}") from exc
 
 

@@ -1,9 +1,10 @@
 """Linear probes over frozen features.
 
-A probe is an L2-regularized logistic model trained with deterministic
-full-batch gradient descent from zero init: softmax + cross-entropy for
-multi-class targets, independent per-label sigmoids + logistic loss for
-multi-label targets.  The regularizer applies to the weights only.
+A probe is an L2-regularized logistic model trained with full-batch gradient
+descent from zero init: softmax + cross-entropy for multi-class targets,
+independent per-label sigmoids + logistic loss for multi-label targets.  The
+regularizer applies to the weights only.  Training is deterministic for a
+given numpy/BLAS build and thread count.
 
 Feature files ("CFFT", little-endian):
   magic "CFFT", u32 n, u32 d, n*d f32 row-major features, then labels --
@@ -23,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .netops import softmax
 from .records import ValidationError, read_exact, write_file
 
 _CFFT_MAGIC = b"CFFT"
@@ -50,21 +50,6 @@ class ProbeModel:
         return np.argmax(self.logits(features), axis=1)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
-    y = np.zeros((labels.shape[0], classes))
-    y[np.arange(labels.shape[0]), labels] = 1.0
-    return y
-
-
 def probe_loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -83,16 +68,24 @@ def probe_loss_and_grad(
     n = x.shape[0]
     z = x @ weights.T + bias
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
-        y = _one_hot(np.asarray(targets, dtype=np.int64), weights.shape[0])
+        rows, labels = np.arange(n), np.asarray(targets, dtype=np.int64)
         zmax = z.max(axis=1, keepdims=True)
-        log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
-        loss = float(np.mean(log_norm - (z * y).sum(axis=1)))
-        delta = (softmax(z, axis=1) - y) / n
+        e = np.exp(z - zmax)
+        norm = e.sum(axis=1, keepdims=True)
+        loss = float(np.mean(zmax[:, 0] + np.log(norm[:, 0]) - z[rows, labels]))
+        finite = np.isfinite(z)
+        finite[rows, labels] = True
+        if not finite.all():  # an inf or nan logit off the label makes the loss nan
+            loss = math.nan
+        delta = e / norm
+        delta[rows, labels] -= 1.0
+        delta /= n
     else:
         y = np.asarray(targets, dtype=np.float64)
-        # stable log(1 + exp(z)) - z*y
-        loss = float(np.sum(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))) / n)
-        delta = (_sigmoid(z) - y) / n
+        # stable log(1 + exp(z)) - z*y; sigmoid(z) from the same exp(-|z|)
+        e = np.exp(-np.abs(z))
+        loss = float(np.sum(np.maximum(z, 0.0) - z * y + np.log1p(e)) / n)
+        delta = (np.where(z >= 0, 1.0, e) / (1.0 + e) - y) / n
     loss += l2_lambda * float(np.sum(weights * weights))
     grad_w = delta.T @ x + 2.0 * l2_lambda * weights
     grad_b = delta.sum(axis=0)
@@ -107,7 +100,8 @@ def train_probe(
     iters: int = 1000,
     step: float = 1.0,
 ) -> ProbeModel:
-    """Full-batch gradient descent from zero init; fully deterministic."""
+    """Full-batch gradient descent from zero init; deterministic for a given
+    numpy/BLAS build and thread count."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")

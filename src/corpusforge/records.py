@@ -302,12 +302,17 @@ def load_label_space(path: str | Path) -> LabelSpace:
     obj = read_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("entries", {}), dict):
         raise ValidationError(f"{path}: expected a JSON object with an object of entries")
+    if not isinstance(obj.get("name", ""), str):
+        raise ValidationError(f"{path}: name must be a string, got {obj['name']!r}")
+    min_count = obj.get("min_count", 1)
+    if not isinstance(min_count, int) or isinstance(min_count, bool):
+        raise ValidationError(f"{path}: min_count must be an integer, got {min_count!r}")
     try:
         return LabelSpace(
             name=obj["name"],
             kind=LabelKind(obj["kind"]),
             entries=obj["entries"],
-            min_count=int(obj["min_count"]),
+            min_count=obj["min_count"],
         )
     except KeyError as exc:
         raise ValidationError(f"{path}: missing field {exc}") from exc

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusforge.census import (
+    MAX_DECODED_FRAMES,
     FrameVideo,
     bilinear_resize,
     census_signature,
@@ -21,7 +22,7 @@ from corpusforge.census import (
 from corpusforge.records import ValidationError
 from corpusforge.synth import ramp_frame, ramp_video
 
-from oracles import census_codes_oracle, census_signature_oracle, cosine_oracle
+from oracles import CENSUS_OFFSETS, census_codes_oracle, census_signature_oracle, cosine_oracle
 
 
 def test_constant_frame_is_one_hot_at_zero():
@@ -36,6 +37,29 @@ def test_matches_pixel_loop_oracle_on_random_frames():
     for _ in range(3):
         frame = rng.uniform(0, 255, size=(112, 112))
         assert np.allclose(census_signature(frame), census_signature_oracle(frame), atol=1e-15)
+
+
+def _eight_comparison_signature(frame):
+    # reference: all 8 neighbor bits, then the 4:1 fold
+    h, w = frame.shape
+    center = frame[1:-1, 1:-1]
+    codes = np.zeros(center.shape, dtype=np.uint16)
+    for bit, (dy, dx) in enumerate(CENSUS_OFFSETS):
+        codes |= (frame[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx] > center).astype(np.uint16) << bit
+    hist = np.bincount((codes >> 2).ravel(), minlength=64).astype(np.float64)
+    return hist / hist.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 16, 256, 0]))
+def test_signature_equals_eight_comparison_reference(seed, levels):
+    # few levels give many ties, where strictly-greater matters; 0 is continuous
+    rng = np.random.default_rng(seed)
+    if levels:
+        frame = rng.integers(0, levels, size=(112, 112)).astype(np.float64)
+    else:
+        frame = rng.uniform(0, 255, size=(112, 112))
+    assert np.array_equal(census_signature(frame), _eight_comparison_signature(frame))
 
 
 def test_complement_frame_has_complement_codes():
@@ -140,6 +164,18 @@ def test_decode_scale_robustness():
 def test_decode_rejects_empty():
     with pytest.raises(ValidationError):
         FrameVideo("v", fps=16.0, frames=np.zeros((0, 112, 112)))
+
+
+@pytest.mark.parametrize(
+    "count, fps",
+    [(4, 1e-30), (2, 5e-324), (100, 1e-4), (MAX_DECODED_FRAMES // 16 + 1, 1.0)],
+)
+def test_decode_rejects_videos_over_the_frame_limit_before_allocating(count, fps):
+    # frames broadcast from one frame: the video itself costs no memory
+    frames = np.broadcast_to(np.zeros((1, 8, 8)), (count, 8, 8))
+    video = FrameVideo("long", fps=fps, frames=frames)
+    with pytest.raises(ValidationError, match="'long'.*over the 262144 limit"):
+        decode_frames(video)
 
 
 def test_raw_frames_round_trip(tmp_path):

@@ -21,11 +21,11 @@ from corpusforge.netops import (
     save_net,
 )
 from corpusforge.probe import ProbeMode, save_features
-from corpusforge.records import load_label_space, save_corpus
+from corpusforge.records import load_label_space, save_corpus, save_label_space
 from corpusforge.synth import ramp_video, tile_video
 from corpusforge.tensor import Layout, WeightTensor, load_weights, save_weights
 
-from conftest import corpus_with_counts
+from conftest import corpus_with_counts, zipf_corpus
 
 
 @pytest.fixture
@@ -92,6 +92,24 @@ def test_labelspace_sample_select_validate_stats(pipeline_files, capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["videos"] == 115
     assert stats["counts"] == {"jumping rope": 60, "playing guitar": 55}
+
+
+def test_cli_sample_whole_videos_whose_durations_round_up(tmp_path, capsys):
+    # uniform float durations: about half of the whole-video clips round up
+    corpus, space, _truth = zipf_corpus(200, 5, 1.0, 0)
+    corpus_path, space_path = tmp_path / "corpus.jsonl", tmp_path / "space.json"
+    save_corpus(corpus, corpus_path)
+    save_label_space(space, space_path)
+    out = tmp_path / "sample.jsonl"
+    rc = main(
+        ["sample", "--strategy", "random", "--budget", "50",
+         "--corpus", str(corpus_path), "--labelspace", str(space_path), "-o", str(out)]
+    )
+    assert rc == 0, capsys.readouterr().err
+    durations = {v.id: v.duration_s for v in corpus}
+    rows = load_manifest(out).rows
+    assert any(r.clip_start_s + r.clip_len_s > durations[r.video_id] for r in rows)
+    assert main(["manifest", "validate", str(out), "--corpus", str(corpus_path)]) == 0
 
 
 def test_cli_manifest_validate_rejects_bad_file(tmp_path, capsys):
@@ -235,6 +253,19 @@ def test_cli_dedup_undecodable_video_is_one_line_error(tmp_path, capsys, width, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_dedup_video_over_the_frame_limit_is_one_line_error(tmp_path, capsys):
+    src_dir, tgt_dir = tmp_path / "sources", tmp_path / "targets"
+    src_dir.mkdir()
+    tgt_dir.mkdir()
+    save_raw_frames(ramp_video("orig", list(range(4))), tgt_dir / "orig.cfvd")
+    (src_dir / "slow.cfvd").write_bytes(struct.pack("<4sIIIf", b"CFVD", 8, 8, 4, 1e-30) + bytes(4 * 64))
+    rc = main(["dedup", "--sources", str(src_dir), "--targets", str(tgt_dir), "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: video 'slow': ") and "limit" in err
     assert len(err.splitlines()) == 1
 
 

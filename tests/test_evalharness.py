@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusforge.evalmetrics import (
     accuracy_topk,
@@ -293,6 +295,160 @@ def test_feature_file_round_trip(tmp_path):
     save_features(x, ml, ProbeMode.SIGMOID_MULTILABEL, path2)
     x3, y3 = load_features(path2, ProbeMode.SIGMOID_MULTILABEL)
     assert np.allclose(x3, x) and np.array_equal(y3, ml)
+
+
+# The loss and training loop as they were before the gather/scatter rewrite:
+# a one-hot matrix, a second exp inside softmax, a masked sigmoid.  The
+# rewrite promises the same bits, including where each result is nan.
+
+
+def _old_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _old_one_hot(labels, classes):
+    y = np.zeros((labels.shape[0], classes))
+    y[np.arange(labels.shape[0]), labels] = 1.0
+    return y
+
+
+def _old_softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _old_loss_and_grad(weights, bias, features, targets, mode, l2_lambda):
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    z = x @ weights.T + bias
+    if mode is ProbeMode.SOFTMAX_MULTICLASS:
+        y = _old_one_hot(np.asarray(targets, dtype=np.int64), weights.shape[0])
+        zmax = z.max(axis=1, keepdims=True)
+        log_norm = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=1))
+        loss = float(np.mean(log_norm - (z * y).sum(axis=1)))
+        delta = (_old_softmax(z) - y) / n
+    else:
+        y = np.asarray(targets, dtype=np.float64)
+        loss = float(np.sum(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))) / n)
+        delta = (_old_sigmoid(z) - y) / n
+    loss += l2_lambda * float(np.sum(weights * weights))
+    grad_w = delta.T @ x + 2.0 * l2_lambda * weights
+    grad_b = delta.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def _old_train(x, t, mode, l2_lambda, iters, step, classes):
+    weights = np.zeros((classes, x.shape[1]))
+    bias = np.zeros(classes)
+    for it in range(iters):
+        loss, grad_w, grad_b = _old_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
+        if not np.isfinite(loss):
+            return f"non-finite loss at iteration {it}"
+        weights -= step * grad_w
+        bias -= step * grad_b
+    loss, _gw, _gb = _old_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
+    return weights, bias, loss
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes, nan in the same places, and every other value bit for bit."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    keep = ~np.isnan(a)
+    return np.array_equal(a[keep].view(np.uint64), b[keep].view(np.uint64))
+
+
+@st.composite
+def _probe_problems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(list(ProbeMode)))
+    n, d, classes = draw(st.integers(1, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    x = rng.standard_normal((n, d)) * draw(st.sampled_from([1.0, 1e3]))
+    if mode is ProbeMode.SOFTMAX_MULTICLASS:
+        t = rng.integers(0, classes, size=n)
+    else:
+        t = (rng.uniform(size=(n, classes)) > 0.5).astype(np.float64)
+    # per-class scales up to 1e306, so some logits overflow to +-inf (or nan,
+    # from inf - inf) while others in the same row stay finite
+    def per_class(values):
+        return np.array(draw(st.lists(st.sampled_from(values), min_size=classes, max_size=classes)))
+
+    weights = rng.standard_normal((classes, d)) * per_class([0.0, 1.0, 1e100, 1e306])[:, None]
+    bias = rng.standard_normal(classes) * per_class([1.0, 1e300])
+    l2_lambda = draw(st.sampled_from([0.0, 1e-4, 0.5]))
+    return weights, bias, x, t, mode, l2_lambda
+
+
+@settings(max_examples=400, deadline=None)
+@given(_probe_problems())
+def test_probe_loss_and_grad_equals_the_one_hot_oracle_bit_for_bit(problem):
+    with np.errstate(all="ignore"):
+        got = probe_loss_and_grad(*problem)
+        want = _old_loss_and_grad(*problem)
+    for g, w in zip(got, want):
+        assert _same_bits(g, w)
+
+
+def test_probe_loss_is_nan_for_minus_inf_logit_off_the_label():
+    # z = [0, -inf]: the exp makes the -inf vanish, only the label term can
+    # carry it, so the loss is nan exactly as with a one-hot product
+    weights, bias = np.array([[0.0], [-1e308]]), np.array([0.0, -1e308])
+    x, t = np.array([[1.0]]), np.array([0])
+    with np.errstate(all="ignore"):
+        loss = probe_loss_and_grad(weights, bias, x, t, ProbeMode.SOFTMAX_MULTICLASS, 0.0)[0]
+        assert math.isnan(loss)
+        assert math.isnan(_old_loss_and_grad(weights, bias, x, t, ProbeMode.SOFTMAX_MULTICLASS, 0.0)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(ProbeMode)),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 1e-4, 0.5]),
+    st.integers(0, 40),
+    st.sampled_from([0.1, 1.0, 1e6]),
+)
+def test_train_probe_equals_the_one_hot_loop_bit_for_bit(seed, mode, n, d, classes, lam, iters, step):
+    rng = np.random.default_rng(seed)
+    classes = min(classes, n)
+    x = rng.standard_normal((n, d)) * 10.0
+    if mode is ProbeMode.SOFTMAX_MULTICLASS:
+        t = rng.permutation(np.arange(n) % classes)  # every class present
+    else:
+        t = (rng.uniform(size=(n, classes)) > 0.5).astype(np.float64)
+    with np.errstate(all="ignore"):
+        want = _old_train(x, t, mode, lam, iters, step, classes)
+        if isinstance(want, str):  # the old loop hit a non-finite loss
+            with pytest.raises(ValidationError) as err:
+                train_probe(x, t, mode, lam, iters, step)
+            assert str(err.value) == want
+            return
+        model = train_probe(x, t, mode, lam, iters, step)
+    assert _same_bits(model.weights, want[0])
+    assert _same_bits(model.bias, want[1])
+    assert _same_bits(model.final_loss, want[2])
+
+
+def test_train_probe_step_1e6_fails_at_the_old_iteration():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((30, 6)) * 10.0
+    t = np.arange(30) % 5
+    for mode, targets in [(ProbeMode.SOFTMAX_MULTICLASS, t), (ProbeMode.SIGMOID_MULTILABEL, np.eye(5)[t])]:
+        with np.errstate(all="ignore"):
+            want = _old_train(x, targets, mode, 1e-4, 200, 1e6, 5)
+            assert isinstance(want, str)
+            with pytest.raises(ValidationError) as err:
+                train_probe(x, targets, mode, 1e-4, 200, 1e6)
+        assert str(err.value) == want
 
 
 # ---------------------------------------------------------------------------

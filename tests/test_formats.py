@@ -15,7 +15,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -173,8 +173,30 @@ def test_label_space_bytes_load_and_round_trip_or_name_the_file(tmp_path_factory
     path.write_bytes(data)
     space = _loads_or_names(path, load_label_space)
     if space is not None:
+        assert isinstance(space.name, str) and type(space.min_count) is int
         save_label_space(space, path.with_name("again.json"))
         assert load_label_space(path.with_name("again.json")) == space
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"name": [1]}, "name must be a string"),
+        ({"name": 7}, "name must be a string"),
+        ({"name": None}, "name must be a string"),
+        ({"min_count": 1.9}, "min_count must be an integer"),
+        ({"min_count": 50.0}, "min_count must be an integer"),
+        ({"min_count": True}, "min_count must be an integer"),
+        ({"min_count": "50"}, "min_count must be an integer"),
+    ],
+)
+def test_label_space_field_of_the_wrong_type_names_the_file(tmp_path, fields, message):
+    doc = {"entries": {"a": ["a"]}, "kind": "seed", "min_count": 1, "name": "s"} | fields
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=message) as info:
+        load_label_space(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +270,8 @@ _net_docs = (
 
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=60) | _net_docs.map(lambda t: t.encode("utf-8")))
+@example(b'{"format": "corpusforge-net-v1", "layers": [{"kind": "conv2d", "weights": "0"}]}')
+@example(b'{"format": "corpusforge-net-v1", "layers": [{"kind": "conv2d", "weights": ""}]}')
 def test_net_descriptor_loads_or_names_the_file(tmp_path_factory, data):
     folder = tmp_path_factory.mktemp("net")
     rng = np.random.default_rng(0)

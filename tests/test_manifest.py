@@ -133,6 +133,23 @@ def test_clip_containment_checked_against_corpus(tmp_path):
         save_manifest(m, tmp_path / "m.jsonl", corpus=corpus)
 
 
+def test_clip_rounded_past_the_duration_is_allowed(tmp_path):
+    # the whole video as one clip: its length rounds up by 2.1e-7
+    corpus = [VideoRecord(id="v", duration_s=28.084651791326486, hashtags=frozenset({"x"}))]
+    m = DatasetManifest(rows=[ManifestRow("v", "x", 0.0, corpus[0].duration_s)])
+    assert m.rows[0].clip_len_s > corpus[0].duration_s
+    save_manifest(m, tmp_path / "m.jsonl", corpus=corpus)
+    assert load_manifest(tmp_path / "m.jsonl") == m
+
+
+def test_clip_beyond_its_rounding_is_rejected(tmp_path):
+    corpus = [VideoRecord(id="v", duration_s=10.0, hashtags=frozenset({"x"}))]
+    m = DatasetManifest(rows=[ManifestRow("v", "x", 4.000001, 6.000001)])  # ends 2e-6 past
+    with pytest.raises(ValidationError, match="exceeds duration"):
+        save_manifest(m, tmp_path / "m.jsonl", corpus=corpus)
+    assert not (tmp_path / "m.jsonl").exists()
+
+
 def test_float_formatting_is_fixed_six_places(tmp_path):
     m = DatasetManifest(rows=[ManifestRow("v", "l", 1.0 / 3.0, 2.0)], seed=1)
     path = tmp_path / "m.jsonl"
