@@ -8,9 +8,18 @@ the descriptor invariant to brightness shifts and robust to rescaling.
 
 The fold keeps only the top 6 code bits, so only those are computed: the two
 neighbors of bits 0 and 1 are never compared, and each code is the folded bin.
+
+Pixels stay uint8 from a CFVD file to the census: a uint8 array compares
+exactly as its float64 copy would, so ``FrameVideo`` keeps uint8 frames and
+``census_signatures`` compares a block in its own dtype (float64 for any
+other input).  ``decode_frames`` runs the census on blocks of
+``DECODE_BLOCK`` distinct source frames, and ``bilinear_resize`` reuses one
+index/weight plan per frame shape.  Signatures are bit for bit those of
+float64 frames.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -25,6 +34,7 @@ SIGNATURE_DIM = 64
 DEFAULT_FPS = 16.0
 DEFAULT_SIDE = 112
 MAX_DECODED_FRAMES = 2**18  # 4.5 hours at 16 fps; 128 MiB of signatures
+DECODE_BLOCK = 16  # distinct source frames per census_signatures call in decode_frames
 
 # clockwise from top-left: bit i compares neighbor at NEIGHBOR_OFFSETS[i]
 NEIGHBOR_OFFSETS = (
@@ -36,21 +46,41 @@ FOLDED_BITS = 2
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
 
+def _pixels(frames: np.ndarray) -> np.ndarray:
+    """uint8 arrays as they are; anything else as float64 (no copy of float64)."""
+    if isinstance(frames, np.ndarray) and frames.dtype == np.uint8:
+        return frames
+    return np.asarray(frames, dtype=np.float64)
+
+
+def census_signatures(block: np.ndarray) -> np.ndarray:
+    """(n, 64) folded census-code histograms of an (n, 112, 112) grayscale block.
+
+    A uint8 block is compared as uint8, which orders pixels exactly as their
+    float64 values do; any other input is compared as float64.  One bincount
+    histograms all n frames.
+    """
+    block = _pixels(block)
+    if block.ndim != 3 or block.shape[1:] != (DEFAULT_SIDE, DEFAULT_SIDE):
+        raise ValidationError(
+            f"census frames must be {DEFAULT_SIDE}x{DEFAULT_SIDE}, got a block of {block.shape}"
+        )
+    n, h, w = block.shape
+    center = block[:, 1:-1, 1:-1]
+    codes = np.zeros(center.shape, dtype=np.uint8)
+    for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS[FOLDED_BITS:]):  # bit of the folded code
+        neighbor = block[:, 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
+        codes += (neighbor > center).view(np.uint8) * (1 << bit)  # faster than |= and <<
+    # frame i's codes count into bins [64 i, 64 i + 64)
+    bins = codes + np.arange(0, n * SIGNATURE_DIM, SIGNATURE_DIM)[:, None, None]
+    hist = np.bincount(bins.ravel(), minlength=n * SIGNATURE_DIM).reshape(n, SIGNATURE_DIM)
+    hist = hist.astype(np.float64)
+    return hist / hist.sum(axis=1, keepdims=True)
+
+
 def census_signature(frame: np.ndarray) -> np.ndarray:
     """64-bin folded census-code histogram of a 112x112 grayscale frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape != (DEFAULT_SIDE, DEFAULT_SIDE):
-        raise ValidationError(
-            f"census frame must be {DEFAULT_SIDE}x{DEFAULT_SIDE}, got {frame.shape}"
-        )
-    h, w = frame.shape
-    center = frame[1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.uint16)
-    for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS[FOLDED_BITS:]):  # bit of the folded code
-        neighbor = frame[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-        codes |= (neighbor > center).astype(np.uint16) << bit
-    hist = np.bincount(codes.ravel(), minlength=SIGNATURE_DIM).astype(np.float64)
-    return hist / hist.sum()
+    return census_signatures(_pixels(frame)[None])[0]
 
 
 def to_grayscale(frame: np.ndarray) -> np.ndarray:
@@ -64,35 +94,48 @@ def to_grayscale(frame: np.ndarray) -> np.ndarray:
     raise ValidationError(f"expected (h,w) or (h,w,3) frame, got {frame.shape}")
 
 
-def bilinear_resize(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample with half-pixel-center alignment."""
-    frame = np.asarray(frame, dtype=np.float64)
-    in_h, in_w = frame.shape
+@functools.lru_cache(maxsize=32)
+def _resize_plan(in_h: int, in_w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
+    """Source rows (y0 then y1), source columns (x0 then x1) and the weights
+    wy, 1 - wy, wx, 1 - wx of one resize shape; read-only, shared by calls."""
     ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
     x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
+    rows = np.concatenate((y0, np.minimum(y0 + 1, in_h - 1)))
+    cols = np.concatenate((x0, np.minimum(x0 + 1, in_w - 1)))
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    tl = frame[np.ix_(y0, x0)]
-    tr = frame[np.ix_(y0, x1)]
-    bl = frame[np.ix_(y1, x0)]
-    br = frame[np.ix_(y1, x1)]
-    return tl * (1 - wy) * (1 - wx) + tr * (1 - wy) * wx + bl * wy * (1 - wx) + br * wy * wx
+    plan = (rows, cols, wy, 1 - wy, wx, 1 - wx)
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
+def bilinear_resize(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resample with half-pixel-center alignment; returns float64."""
+    frame = _pixels(frame)
+    in_h, in_w = frame.shape
+    rows, cols, wy, vy, wx, vx = _resize_plan(in_h, in_w, out_h, out_w)
+    corners = frame.take(rows, axis=0)[:, cols]
+    tl, tr = corners[:out_h, :out_w], corners[:out_h, out_w:]
+    bl, br = corners[out_h:, :out_w], corners[out_h:, out_w:]
+    return tl * vy * vx + tr * vy * wx + bl * wy * vx + br * wy * wx
 
 
 @dataclass
 class FrameVideo:
-    """In-memory frame source: (n, h, w) or (n, h, w, 3) arrays plus fps."""
+    """In-memory frame source: (n, h, w) or (n, h, w, 3) arrays plus fps.
+
+    uint8 frames stay uint8; any other input becomes float64.
+    """
 
     video_id: str
     fps: float
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.frames = _pixels(self.frames)
         if self.frames.ndim not in (3, 4) or self.frames.shape[0] == 0:
             raise ValidationError(f"video {self.video_id!r}: no frames")
         h, w = self.frames.shape[1:3]
@@ -150,21 +193,18 @@ def decode_frames(
             f"to {span:g} frames at {target_fps:g} fps, over the {MAX_DECODED_FRAMES} limit"
         )
     n_out = max(1, int(round(span)))
-    scale = video.fps / target_fps
-    signatures = np.empty((n_out, SIGNATURE_DIM), dtype=np.float64)
-    cache_idx = -1
-    cache_sig: np.ndarray | None = None
-    for k in range(n_out):
-        j = min(video.num_frames - 1, int(round(k * scale)))
-        if j != cache_idx:
-            gray = to_grayscale(video.frames[j])
-            if gray.shape != (side, side):
-                gray = bilinear_resize(gray, side, side)
-            cache_sig = census_signature(gray)
-            cache_idx = j
-        assert cache_sig is not None
-        signatures[k] = cache_sig
-    return SignatureSequence(video_id=video.video_id, frames=signatures)
+    # nondecreasing in k, so each distinct source frame serves one run of outputs
+    picks = np.rint(np.arange(n_out) * (video.fps / target_fps)).astype(np.int64)
+    sources, runs = np.unique(np.minimum(picks, video.num_frames - 1), return_inverse=True)
+    distinct = np.empty((len(sources), SIGNATURE_DIM), dtype=np.float64)
+    for start in range(0, len(sources), DECODE_BLOCK):
+        block = video.frames[sources[start : start + DECODE_BLOCK]]
+        if block.ndim == 4:
+            block = np.stack([to_grayscale(frame) for frame in block])
+        if block.shape[1:] != (side, side):
+            block = np.stack([bilinear_resize(frame, side, side) for frame in block])
+        distinct[start : start + DECODE_BLOCK] = census_signatures(block)
+    return SignatureSequence(video_id=video.video_id, frames=distinct[runs])
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +234,7 @@ def load_raw_frames(path: str | Path, video_id: str | None = None) -> FrameVideo
             raise ValidationError(f"{path}: bad magic {magic!r}")
         payload = read_exact(fh, n * h * w, path, "payload")
     try:
-        frames = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w).astype(np.float64)
+        frames = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w)
         return FrameVideo(video_id=video_id or path.stem, fps=fps, frames=frames)
     except ValueError as exc:  # a ValidationError, or dims numpy cannot shape
         raise ValidationError(f"{path}: {exc}") from exc

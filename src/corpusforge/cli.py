@@ -134,7 +134,7 @@ def _video_files(spec: str) -> list[Path]:
 def _cmd_dedup(args: argparse.Namespace) -> int:
     source_files = _video_files(args.sources)
     target_files = _video_files(args.targets)
-    # one raw (float64) video in memory at a time; only signatures are kept
+    # one raw (uint8) video in memory at a time; only signatures are kept
     sources = [decode_frames(load_raw_frames(f)) for f in source_files]
     targets = [decode_frames(load_raw_frames(f)) for f in target_files]
     report = dedup_mod.dedup_report(

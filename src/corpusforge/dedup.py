@@ -11,6 +11,7 @@ low-precision, high-recall rule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -161,6 +162,9 @@ def dedup_report(
     seed: int = 0,
 ) -> OverlapReport:
     """Measure every source against an index of all targets."""
+    for name, value in (("tau", tau), ("threshold_pct", threshold_pct)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")
     index = build_index(targets, bands=bands, bits=bits, seed=seed)
     pairs: list[tuple[str, str, float]] = []
     for source in sources:

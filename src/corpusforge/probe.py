@@ -8,7 +8,7 @@ given numpy/BLAS build and thread count.
 
 Feature files ("CFFT", little-endian):
   magic "CFFT", u32 n, u32 d, n*d f32 row-major features, then labels --
-  n u32 class ids (multiclass) or an n x L u8 matrix (multilabel).
+  n u32 class ids (multiclass) or an n x L u8 matrix of 0/1 (multilabel).
 
 Probe models are ``.npz`` archives of weights, bias, mode and l2_lambda.
 """
@@ -105,6 +105,8 @@ def train_probe(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")
+    if iters < 0:
+        raise ValidationError(f"iters must be >= 0, got {iters}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("features contain non-finite values")
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
@@ -121,14 +123,15 @@ def train_probe(
         raise ValidationError(f"need >= {classes} samples, got {x.shape[0]}")
     weights = np.zeros((classes, x.shape[1]))
     bias = np.zeros(classes)
-    loss = float("nan")
-    for it in range(iters):
-        loss, grad_w, grad_b = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
-        if not np.isfinite(loss):
-            raise ValidationError(f"non-finite loss at iteration {it}")
-        weights -= step * grad_w
-        bias -= step * grad_b
-    loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
+    # overflow shows up as a non-finite loss, which is checked every iteration
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(iters):
+            loss, grad_w, grad_b = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
+            if not np.isfinite(loss):
+                raise ValidationError(f"non-finite loss at iteration {it}")
+            weights -= step * grad_w
+            bias -= step * grad_b
+        loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
     return ProbeModel(
         weights=weights, bias=bias, mode=mode, l2_lambda=l2_lambda, final_loss=loss
     )
@@ -143,8 +146,12 @@ def save_features(
 ) -> None:
     x = np.ascontiguousarray(features, dtype=np.float32)
     n, d = x.shape
-    dtype = "<u4" if mode is ProbeMode.SOFTMAX_MULTICLASS else np.uint8
-    labels = np.ascontiguousarray(targets, dtype=dtype)
+    if mode is ProbeMode.SOFTMAX_MULTICLASS:
+        labels = np.ascontiguousarray(targets, dtype="<u4")
+    elif np.isin(targets, (0, 1)).all():
+        labels = np.ascontiguousarray(targets, dtype=np.uint8)
+    else:
+        raise ValidationError(f"{path}: multilabel targets must be 0 or 1")
     write_file(path, b"".join((_CFFT_HEADER.pack(_CFFT_MAGIC, n, d), x, labels)))
 
 
@@ -167,7 +174,10 @@ def load_features(path: str | Path, mode: ProbeMode) -> tuple[np.ndarray, np.nda
     else:
         if len(rest) % n != 0:
             raise ValidationError(f"{path}: multilabel block not divisible by n={n}")
-        targets = np.frombuffer(rest, dtype=np.uint8).reshape(n, -1).astype(np.float64)
+        labels = np.frombuffer(rest, dtype=np.uint8)
+        if (labels > 1).any():
+            raise ValidationError(f"{path}: multilabel label bytes must be 0 or 1")
+        targets = labels.reshape(n, -1).astype(np.float64)
     return features, targets
 
 

@@ -57,8 +57,8 @@ class BudgetPlan:
             if self.count is None or self.count < 1:
                 raise ValidationError("fixed-count plan needs count >= 1")
         else:
-            if self.total_minutes is None or self.total_minutes <= 0:
-                raise ValidationError("fixed-duration plan needs total_minutes > 0")
+            if self.total_minutes is None or not 0 < self.total_minutes < math.inf:
+                raise ValidationError("fixed-duration plan needs finite total_minutes > 0")
 
 
 def jitter_clip(

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusforge import census
 from corpusforge.census import (
     MAX_DECODED_FRAMES,
     FrameVideo,
     bilinear_resize,
     census_signature,
+    census_signatures,
     cosine,
     decode_frames,
     load_raw_frames,
@@ -273,3 +275,143 @@ def test_cosine_zero_rows_and_zero_query_give_zero():
     assert sims[1] == 0.0 and sims[0] != 0.0
     assert np.array_equal(cosine(np.zeros(3), rows), np.zeros(3))
     assert cosine(np.zeros(3), rows[0]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# uint8 pixels: the census, the resize and decode_frames give the bits of
+# their float64 copies, and of the per-frame code they replaced.
+
+
+def _ix_resize(frame, out_h, out_w):
+    # reference: bilinear_resize as it was, four np.ix_ gathers on float64
+    frame = np.asarray(frame, dtype=np.float64)
+    in_h, in_w = frame.shape
+    ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
+    xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    tl = frame[np.ix_(y0, x0)]
+    tr = frame[np.ix_(y0, x1)]
+    bl = frame[np.ix_(y1, x0)]
+    br = frame[np.ix_(y1, x1)]
+    return tl * (1 - wy) * (1 - wx) + tr * (1 - wy) * wx + bl * wy * (1 - wx) + br * wy * wx
+
+
+def _frame_by_frame_decode(frames, fps):
+    # reference: decode_frames as it was, one float64 frame at a time
+    frames = np.asarray(frames, dtype=np.float64)
+    n_out = max(1, int(round(len(frames) / fps * 16.0)))
+    out = []
+    for k in range(n_out):
+        gray = frames[min(len(frames) - 1, int(round(k * (fps / 16.0))))]
+        if gray.ndim == 3:
+            gray = 0.299 * gray[..., 0] + 0.587 * gray[..., 1] + 0.114 * gray[..., 2]
+        if gray.shape != (112, 112):
+            gray = _ix_resize(gray, 112, 112)
+        out.append(_eight_comparison_signature(gray))
+    return np.stack(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.sampled_from([2, 3, 16, 256]))
+def test_block_signatures_of_uint8_equal_float64_frames(seed, n, levels):
+    # few levels give many tied pixels, where strictly-greater matters
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, levels, size=(n, 112, 112)).astype(np.uint8)
+    block[:, rng.integers(112), :] = 255 - block[:, 0, :]  # a row of wrapped-around values
+    sigs = census_signatures(block)
+    assert sigs.shape == (n, 64) and sigs.dtype == np.float64
+    assert np.array_equal(sigs, census_signatures(block.astype(np.float64)))
+    for i in range(n):
+        frame = block[i].astype(np.float64)
+        assert np.array_equal(sigs[i], census_signature(frame))
+        assert np.array_equal(sigs[i], _eight_comparison_signature(frame))
+        assert np.array_equal(sigs[i], census_signature(block[i]))
+
+
+def test_block_signatures_reject_other_shapes():
+    for shape in [(112, 112), (2, 112, 111), (1, 1, 112, 112)]:
+        with pytest.raises(ValidationError, match="112x112"):
+            census_signatures(np.zeros(shape, dtype=np.uint8))
+
+
+_sides = st.integers(1, 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), _sides, _sides, _sides, _sides, st.booleans())
+def test_bilinear_resize_equals_the_ix_reference(seed, in_h, in_w, out_h, out_w, as_uint8):
+    rng = np.random.default_rng(seed)
+    frame = rng.integers(0, 256, size=(in_h, in_w)).astype(np.uint8)
+    if not as_uint8:
+        frame = frame + rng.uniform(-0.5, 0.5, size=frame.shape)
+    got = bilinear_resize(frame, out_h, out_w)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _ix_resize(frame, out_h, out_w))
+    assert np.array_equal(bilinear_resize(frame, out_h, out_w), got)  # from the cached plan
+
+
+def test_resize_plan_is_read_only():
+    bilinear_resize(np.zeros((7, 5)), 3, 4)
+    for array in census._resize_plan(7, 5, 3, 4):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "side, rgb, fps, count",
+    [
+        (112, False, 16.0, 40),  # three blocks, no resampling
+        (224, False, 10.0, 30),  # upsampled in time: frames repeat
+        (224, False, 25.0, 45),  # downsampled in time: frames skipped
+        (224, True, 12.5, 20),
+        (112, True, 40.0, 50),
+        (160, False, 16.0, 1),
+        (80, False, 7.0, 17),  # upscaled frames
+    ],
+)
+def test_decode_uint8_video_equals_its_float64_copy(side, rgb, fps, count):
+    rng = np.random.default_rng(side + count)
+    shape = (count, side, side, 3) if rgb else (count, side, side)
+    frames = rng.integers(0, 6, size=shape).astype(np.uint8)  # many ties
+    frames[count // 2 :] = 250 - frames[count // 2 :]
+    video = FrameVideo("u8", fps=fps, frames=frames)
+    assert video.frames is frames
+    got = decode_frames(video)
+    copy = decode_frames(FrameVideo("f64", fps=fps, frames=frames.astype(np.float64)))
+    assert np.array_equal(got.frames, copy.frames)
+    assert np.array_equal(got.frames, _frame_by_frame_decode(frames, fps))
+
+
+def test_decode_resizes_each_distinct_source_frame_once(monkeypatch):
+    # the benchmark's tracer counts census.frames_resized from these calls
+    calls = []
+    resize = census.bilinear_resize
+    monkeypatch.setattr(census, "bilinear_resize", lambda *a: calls.append(1) or resize(*a))
+    frames = np.zeros((30, 224, 224), dtype=np.uint8)
+    assert len(decode_frames(FrameVideo("v", fps=10.0, frames=frames))) == 48
+    assert len(calls) == 30  # 48 outputs, each of the 30 frames resized once
+    calls.clear()
+    assert len(decode_frames(FrameVideo("v", fps=40.0, frames=frames))) == 12
+    assert len(calls) == 12
+
+
+def test_video_keeps_uint8_and_does_not_copy_float64():
+    pixels = np.zeros((2, 8, 8), dtype=np.uint8)
+    assert FrameVideo("u8", fps=16.0, frames=pixels).frames is pixels
+    floats = np.zeros((2, 8, 8))
+    assert FrameVideo("f64", fps=16.0, frames=floats).frames is floats
+    for other in (pixels.astype(np.int64), pixels.astype(np.float32), pixels.tolist()):
+        assert FrameVideo("x", fps=16.0, frames=other).frames.dtype == np.float64
+
+
+def test_raw_frames_load_as_uint8(tmp_path):
+    video = ramp_video("v", members=[0, 1, 2], side=112, fps=16.0)
+    path = tmp_path / "v.cfvd"
+    save_raw_frames(video, path)
+    loaded = load_raw_frames(path)
+    assert loaded.frames.dtype == np.uint8
+    assert np.array_equal(loaded.frames, np.clip(np.rint(video.frames), 0, 255))

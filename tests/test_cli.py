@@ -2,11 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corpusforge
 from corpusforge.census import save_raw_frames
 from corpusforge.cli import main
 from corpusforge.manifest import load_manifest
@@ -371,3 +376,54 @@ def test_cli_probe_writes_exactly_the_output_name(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / 'noweights.npz'}: ") and "weights" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.fixture
+def one_line_error_inputs(pipeline_files):
+    """Argument lists with one non-finite number each, keyed by case."""
+    tmp_path, corpus_path, _seeds_path = pipeline_files
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(_SPACE))
+    feat = tmp_path / "train.cfft"
+    save_features(np.eye(3, dtype=np.float32), np.array([0, 1, 2]), ProbeMode.SOFTMAX_MULTICLASS, feat)
+    videos = tmp_path / "videos"
+    videos.mkdir()
+    save_raw_frames(ramp_video("orig", list(range(4))), videos / "orig.cfvd")
+    dedup = ["dedup", "--sources", str(videos), "--targets", str(videos), "-o", str(tmp_path / "report")]
+    return {
+        "probe": ["probe", "train", "--features", str(feat), "--mode", "softmax", "--step", "inf",
+                  "-o", str(tmp_path / "p.npz")],
+        "tau": dedup + ["--tau", "nan"],
+        "threshold": dedup + ["--threshold", "nan"],
+        "select": ["select", "--class", "short", "--mode", "f2", "--minutes", "nan",
+                   "--corpus", str(corpus_path), "--labelspace", str(space_path),
+                   "-o", str(tmp_path / "select.jsonl")],
+    }
+
+
+_ONE_LINE_ERRORS = {
+    "probe": "error: non-finite loss at iteration 1",
+    "tau": "error: tau must be finite, got nan",
+    "threshold": "error: threshold_pct must be finite, got nan",
+    "select": "error: fixed-duration plan needs finite total_minutes > 0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_LINE_ERRORS))
+def test_cli_non_finite_numbers_are_one_line_errors(one_line_error_inputs, capsys, case):
+    assert main(one_line_error_inputs[case]) == 2
+    assert capsys.readouterr().err.splitlines() == [_ONE_LINE_ERRORS[case]]
+
+
+@pytest.mark.parametrize("case", ["probe", "tau", "select"])
+def test_module_entry_point_prints_exactly_one_error_line(one_line_error_inputs, case):
+    # a fresh interpreter, as the benchmark runs it: pytest does not capture
+    # numpy's RuntimeWarnings there, so any warning shows as an extra line
+    src = str(Path(corpusforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corpusforge.cli", *one_line_error_inputs[case]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [_ONE_LINE_ERRORS[case]]

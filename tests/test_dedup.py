@@ -182,6 +182,15 @@ def test_dedup_report_threshold_zero_flags_any_match():
     assert report.flagged_sources() == {"dup"}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["tau", "threshold_pct"])
+def test_dedup_report_rejects_non_finite_tau_and_threshold(name, value):
+    # nan would match nothing and flag nothing, and be written to summary.json
+    sources = [decode_frames(ramp_video("dup", list(range(4))))]
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        dedup_report(sources, sources, **{name: value})
+
+
 def test_dedup_report_recall_on_injected_duplicates():
     # 2 of 12 sources are rescaled, half-length copies of targets
     targets = [ramp_video(f"t{i}", [(5 * i + k) % 40 for k in range(16)]) for i in range(4)]

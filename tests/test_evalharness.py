@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,37 @@ def test_feature_file_round_trip(tmp_path):
     save_features(x, ml, ProbeMode.SIGMOID_MULTILABEL, path2)
     x3, y3 = load_features(path2, ProbeMode.SIGMOID_MULTILABEL)
     assert np.allclose(x3, x) and np.array_equal(y3, ml)
+
+
+def test_multilabel_features_hold_only_0_or_1(tmp_path):
+    x = np.eye(3, dtype=np.float32)
+    path = tmp_path / "f.cfft"
+    for labels in (np.array([[0, 2], [1, 0], [0, 0]]), np.full((3, 1), 0.5)):
+        with pytest.raises(ValidationError, match="must be 0 or 1"):
+            save_features(x, labels, ProbeMode.SIGMOID_MULTILABEL, path)
+    assert not path.exists()
+    # a multiclass file read as multilabel: its u32 class ids are bytes 0..2
+    save_features(x, np.array([0, 1, 2]), ProbeMode.SOFTMAX_MULTICLASS, path)
+    with pytest.raises(ValidationError, match=f"^{path}: multilabel label bytes must be 0 or 1"):
+        load_features(path, ProbeMode.SIGMOID_MULTILABEL)
+
+
+def test_probe_rejects_negative_iters():
+    x, y = np.eye(2), np.array([0, 1])
+    with pytest.raises(ValidationError, match="iters must be >= 0"):
+        train_probe(x, y, ProbeMode.SOFTMAX_MULTICLASS, iters=-5)
+    assert train_probe(x, y, ProbeMode.SOFTMAX_MULTICLASS, iters=0).final_loss == math.log(2)
+
+
+@pytest.mark.parametrize("mode", list(ProbeMode))
+def test_probe_overflow_raises_without_warnings(mode):
+    # the loss check reports overflow; numpy's warnings would add stderr lines
+    x = np.array([[1.0, 2.0], [-1.0, 0.5], [0.3, -2.0]])
+    y = np.array([0, 1, 0]) if mode is ProbeMode.SOFTMAX_MULTICLASS else np.eye(3)[:, :2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite loss at iteration 1"):
+            train_probe(x, y, mode, iters=5, step=math.inf)
 
 
 # The loss and training loop as they were before the gather/scatter rewrite:

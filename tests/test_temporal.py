@@ -140,6 +140,12 @@ def test_f2_duration_bounds():
     assert total > 30.0 - 3.5
 
 
+@pytest.mark.parametrize("minutes", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, None])
+def test_f2_plan_needs_finite_positive_minutes(minutes):
+    with pytest.raises(ValidationError, match="finite total_minutes > 0"):
+        BudgetPlan(BudgetMode.FIXED_DURATION, LengthClass.SHORT, total_minutes=minutes)
+
+
 def test_f2_long_center_uses_four_second_clips():
     corpus, space = corpus_with_counts({"A": 30}, duration_s=58.0)
     plan = BudgetPlan(
