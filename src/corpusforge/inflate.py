@@ -10,6 +10,7 @@ never touches the zero time-padding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,8 @@ def inflation_equivalence(
     outputs are compared at that position (global pooling, when present,
     averages only over it).
     """
+    if not 0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
     if not net2d.is_2d():
         raise ValidationError("inflation_equivalence expects a 2D conv net")
     net3d = inflate_net(net2d, k, normalize=normalize)

@@ -4,7 +4,9 @@ A probe is an L2-regularized logistic model trained with full-batch gradient
 descent from zero init: softmax + cross-entropy for multi-class targets,
 independent per-label sigmoids + logistic loss for multi-label targets.  The
 regularizer applies to the weights only.  Training is deterministic for a
-given numpy/BLAS build and thread count.
+given numpy/BLAS build and thread count.  It computes every gradient step in
+work arrays allocated once per training run (:class:`ProbeWork`), so no step
+allocates fresh ``(n, classes)`` temporaries.
 
 Feature files ("CFFT", little-endian):
   magic "CFFT", u32 n, u32 d, n*d f32 row-major features, then labels --
@@ -50,6 +52,23 @@ class ProbeModel:
         return np.argmax(self.logits(features), axis=1)
 
 
+class ProbeWork:
+    """Work arrays for :func:`probe_loss_and_grad` on ``n`` samples of ``dim``
+    features and ``classes`` outputs.
+
+    A call given ``work=`` computes every ``(n, classes)`` intermediate inside
+    these arrays and returns gradients that are views of them, valid until
+    the next call that shares them.
+    """
+
+    def __init__(self, n: int, classes: int, dim: int) -> None:
+        self.z, self.e, self.delta, self.tmp = (np.empty((n, classes)) for _ in range(4))
+        self.mask = np.empty((n, classes), dtype=bool)
+        self.zmax, self.norm = np.empty((n, 1)), np.empty((n, 1))
+        self.grad_w, self.w_tmp = np.empty((classes, dim)), np.empty((classes, dim))
+        self.grad_b = np.empty(classes)
+
+
 def probe_loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -57,38 +76,65 @@ def probe_loss_and_grad(
     targets: np.ndarray,
     mode: ProbeMode,
     l2_lambda: float,
+    *,
+    work: ProbeWork | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus analytic gradients w.r.t. weights and bias.
 
     targets: class ids (multiclass) or an (n, classes) 0/1 matrix
     (multilabel).  Multilabel loss sums over labels, both average over
-    samples.
+    samples.  With ``work`` the gradients are views of its arrays (see
+    :class:`ProbeWork`); without it they are fresh arrays.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
-    z = x @ weights.T + bias
+    if work is None:
+        work = ProbeWork(n, weights.shape[0], x.shape[1])
+    z, e, delta, tmp, mask = work.z, work.e, work.delta, work.tmp, work.mask
+    np.matmul(x, weights.T, out=z)
+    np.add(z, bias, out=z)
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
         rows, labels = np.arange(n), np.asarray(targets, dtype=np.int64)
-        zmax = z.max(axis=1, keepdims=True)
-        e = np.exp(z - zmax)
-        norm = e.sum(axis=1, keepdims=True)
+        zmax, norm = work.zmax, work.norm
+        np.max(z, axis=1, keepdims=True, out=zmax)
+        np.subtract(z, zmax, out=delta)
+        np.exp(delta, out=delta)
+        np.sum(delta, axis=1, keepdims=True, out=norm)
         loss = float(np.mean(zmax[:, 0] + np.log(norm[:, 0]) - z[rows, labels]))
-        finite = np.isfinite(z)
-        finite[rows, labels] = True
-        if not finite.all():  # an inf or nan logit off the label makes the loss nan
+        np.isfinite(z, out=mask)
+        mask[rows, labels] = True
+        if not mask.all():  # an inf or nan logit off the label makes the loss nan
             loss = math.nan
-        delta = e / norm
+        np.divide(delta, norm, out=delta)
         delta[rows, labels] -= 1.0
-        delta /= n
     else:
         y = np.asarray(targets, dtype=np.float64)
         # stable log(1 + exp(z)) - z*y; sigmoid(z) from the same exp(-|z|)
-        e = np.exp(-np.abs(z))
-        loss = float(np.sum(np.maximum(z, 0.0) - z * y + np.log1p(e)) / n)
-        delta = (np.where(z >= 0, 1.0, e) / (1.0 + e) - y) / n
-    loss += l2_lambda * float(np.sum(weights * weights))
-    grad_w = delta.T @ x + 2.0 * l2_lambda * weights
-    grad_b = delta.sum(axis=0)
+        np.abs(z, out=e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        # per-element loss max(z, 0) - z*y + log1p(e), summed in delta
+        np.maximum(z, 0.0, out=delta)
+        np.multiply(z, y, out=tmp)
+        np.subtract(delta, tmp, out=delta)
+        np.log1p(e, out=tmp)
+        np.add(delta, tmp, out=delta)
+        loss = float(np.sum(delta) / n)
+        # where(z >= 0, 1, e) / (1 + e) - y
+        np.greater_equal(z, 0, out=mask)
+        np.copyto(delta, e)
+        np.copyto(delta, 1.0, where=mask)
+        np.add(e, 1.0, out=tmp)
+        np.divide(delta, tmp, out=delta)
+        np.subtract(delta, y, out=delta)
+    np.divide(delta, n, out=delta)
+    grad_w, w_tmp, grad_b = work.grad_w, work.w_tmp, work.grad_b
+    np.multiply(weights, weights, out=w_tmp)
+    loss += l2_lambda * float(np.sum(w_tmp))
+    np.matmul(delta.T, x, out=grad_w)
+    np.multiply(weights, 2.0 * l2_lambda, out=w_tmp)
+    np.add(grad_w, w_tmp, out=grad_w)
+    np.sum(delta, axis=0, out=grad_b)
     return loss, grad_w, grad_b
 
 
@@ -101,7 +147,12 @@ def train_probe(
     step: float = 1.0,
 ) -> ProbeModel:
     """Full-batch gradient descent from zero init; deterministic for a given
-    numpy/BLAS build and thread count."""
+    numpy/BLAS build and thread count.  Every iteration computes in one
+    :class:`ProbeWork` allocated here."""
+    if not step > 0:
+        raise ValidationError(f"step must be > 0, got {step}")
+    if not l2_lambda >= 0:
+        raise ValidationError(f"l2_lambda must be >= 0, got {l2_lambda}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")
@@ -123,15 +174,19 @@ def train_probe(
         raise ValidationError(f"need >= {classes} samples, got {x.shape[0]}")
     weights = np.zeros((classes, x.shape[1]))
     bias = np.zeros(classes)
+    work = ProbeWork(x.shape[0], classes, x.shape[1])
     # overflow shows up as a non-finite loss, which is checked every iteration
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(iters):
-            loss, grad_w, grad_b = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
+            loss, grad_w, grad_b = probe_loss_and_grad(
+                weights, bias, x, t, mode, l2_lambda, work=work
+            )
             if not np.isfinite(loss):
                 raise ValidationError(f"non-finite loss at iteration {it}")
-            weights -= step * grad_w
-            bias -= step * grad_b
-        loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda)
+            # the gradients are work views: scale them in place before the next call
+            weights -= np.multiply(grad_w, step, out=grad_w)
+            bias -= np.multiply(grad_b, step, out=grad_b)
+        loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda, work=work)
     return ProbeModel(
         weights=weights, bias=bias, mode=mode, l2_lambda=l2_lambda, final_loss=loss
     )

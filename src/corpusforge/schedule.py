@@ -8,6 +8,7 @@ halvings) the final plateau rate is 0.192 / 2^13 = 2.34375e-5.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,8 +54,8 @@ def lr_schedule(
     plateaus whose lengths differ by at most one (longer plateaus first);
     plateau i runs at base_lr * factor**i.
     """
-    if base_lr <= 0:
-        raise ValidationError("base_lr must be > 0")
+    if not 0 < base_lr < math.inf:
+        raise ValidationError(f"base_lr must be finite and > 0, got {base_lr}")
     if not 0.0 < factor < 1.0:
         raise ValidationError("factor must be in (0, 1) for downward steps")
     if warmup_iters < 0 or num_reductions < 0:

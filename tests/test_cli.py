@@ -427,3 +427,28 @@ def test_module_entry_point_prints_exactly_one_error_line(one_line_error_inputs,
     )
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [_ONE_LINE_ERRORS[case]]
+
+
+_OUT_OF_RANGE = {
+    "schedule": (["schedule", "--base", "nan", "--total", "100", "-o", "{out}"],
+                 "error: base_lr must be finite and > 0, got nan"),
+    "tol": (["verify-inflation", "--net", "{net}", "--k", "3", "--tol", "nan"],
+            "error: tol must be finite and >= 0, got nan"),
+    "step": (["probe", "train", "--features", "{feat}", "--mode", "softmax", "--step", "-1", "--iters", "3",
+              "-o", "{out}"], "error: step must be > 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_module_entry_point_rejects_out_of_range_numbers_in_one_line(tmp_path, case):
+    net, feat, out = tmp_path / "net2d.json", tmp_path / "train.cfft", tmp_path / "out"
+    save_net(NetSpec([Conv2dLayer(np.ones((1, 1, 3, 3)), np.zeros(1), 1, True)]), net)
+    save_features(np.eye(3, dtype=np.float32), np.array([0, 1, 2]), ProbeMode.SOFTMAX_MULTICLASS, feat)
+    argv, message = _OUT_OF_RANGE[case]
+    argv = [a.format(net=net, feat=feat, out=out) for a in argv]
+    src = str(Path(corpusforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "corpusforge.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr.splitlines()) == (2, [message])
+    assert not out.exists()

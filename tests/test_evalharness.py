@@ -16,8 +16,10 @@ from corpusforge.evalmetrics import (
     uniform_clip_starts,
     video_prediction,
 )
+from corpusforge import probe
 from corpusforge.probe import (
     ProbeMode,
+    ProbeWork,
     load_features,
     probe_loss_and_grad,
     save_features,
@@ -80,6 +82,12 @@ def test_schedule_infeasible_errors():
         lr_schedule(base_lr=0.1, warmup_iters=0, total_iters=10, num_reductions=13)
     with pytest.raises(ValidationError):
         lr_schedule(base_lr=0.1, warmup_iters=0, total_iters=10, num_reductions=2, factor=1.0)
+
+
+@pytest.mark.parametrize("base_lr", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_schedule_rejects_base_lr_not_finite_and_positive(base_lr):
+    with pytest.raises(ValidationError, match=f"^base_lr must be finite and > 0, got {base_lr}$"):
+        lr_schedule(base_lr=base_lr, warmup_iters=0, total_iters=20, num_reductions=1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +489,92 @@ def test_train_probe_step_1e6_fails_at_the_old_iteration():
             with pytest.raises(ValidationError) as err:
                 train_probe(x, targets, mode, 1e-4, 200, 1e6)
         assert str(err.value) == want
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"step": -1.0}, "step must be > 0, got -1.0"),
+        ({"step": 0.0}, "step must be > 0, got 0.0"),
+        ({"step": math.nan}, "step must be > 0, got nan"),
+        ({"l2_lambda": -1.0}, "l2_lambda must be >= 0, got -1.0"),
+        ({"l2_lambda": math.nan}, "l2_lambda must be >= 0, got nan"),
+    ],
+)
+def test_train_probe_rejects_bad_step_and_l2_before_allocating(monkeypatch, kwargs, message):
+    def no_work(*args):
+        raise AssertionError("work arrays allocated before the arguments were checked")
+
+    monkeypatch.setattr(probe, "ProbeWork", no_work)
+    x, y = _separable_toy()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        train_probe(x, y, ProbeMode.SOFTMAX_MULTICLASS, **kwargs)
+
+
+@st.composite
+def _probe_chains(draw):
+    """2-4 problems of one (n, d, classes) shape, each with its own mode,
+    features, targets, l2 and weights whose logits may overflow."""
+    n, d, classes = draw(st.integers(1, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    chain = []
+    for _ in range(draw(st.integers(2, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mode = draw(st.sampled_from(list(ProbeMode)))
+        x = rng.standard_normal((n, d)) * draw(st.sampled_from([1.0, 1e3]))
+        if mode is ProbeMode.SOFTMAX_MULTICLASS:
+            t = rng.integers(0, classes, size=n)
+        else:
+            t = (rng.uniform(size=(n, classes)) > 0.5).astype(np.float64)
+        w_scale = draw(st.lists(st.sampled_from([0.0, 1.0, 1e100, 1e306]), min_size=classes, max_size=classes))
+        b_scale = draw(st.lists(st.sampled_from([1.0, 1e300]), min_size=classes, max_size=classes))
+        weights = rng.standard_normal((classes, d)) * np.array(w_scale)[:, None]
+        bias = rng.standard_normal(classes) * np.array(b_scale)
+        chain.append((weights, bias, x, t, mode, draw(st.sampled_from([0.0, 1e-4, 0.5]))))
+    return chain
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probe_chains())
+def test_probe_loss_and_grad_with_shared_work_equals_fresh_calls_bit_for_bit(chain):
+    weights, _bias, x = chain[0][:3]
+    work = ProbeWork(x.shape[0], weights.shape[0], weights.shape[1])
+    with np.errstate(all="ignore"):
+        for problem in chain:
+            got = probe_loss_and_grad(*problem, work=work)
+            assert np.shares_memory(got[1], work.grad_w) and np.shares_memory(got[2], work.grad_b)
+            want = probe_loss_and_grad(*problem)
+            for g, w in zip(got, want):
+                assert _same_bits(g, w)
+
+
+def test_fresh_probe_loss_and_grad_returns_arrays_the_caller_owns():
+    rng = np.random.default_rng(12)
+    x, t = rng.standard_normal((6, 3)), np.arange(6) % 4
+    for mode, targets in [(ProbeMode.SOFTMAX_MULTICLASS, t), (ProbeMode.SIGMOID_MULTILABEL, np.eye(4)[t])]:
+        first = probe_loss_and_grad(rng.standard_normal((4, 3)), rng.standard_normal(4), x, targets, mode, 0.1)
+        kept = [a.copy() for a in first[1:]]
+        second = probe_loss_and_grad(rng.standard_normal((4, 3)), rng.standard_normal(4), x, targets, mode, 0.1)
+        assert not any(np.shares_memory(a, b) for a in first[1:] for b in second[1:])
+        for a, b in zip(first[1:], kept):
+            assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 7])
+@pytest.mark.parametrize("mode", list(ProbeMode))
+def test_train_probe_calls_the_public_loss_once_per_step_with_one_work(monkeypatch, mode, iters):
+    works = []
+    real = probe.probe_loss_and_grad
+
+    def counted(*args, **kwargs):
+        works.append(kwargs.get("work"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(probe, "probe_loss_and_grad", counted)
+    x, y = _separable_toy(12)
+    targets = y if mode is ProbeMode.SOFTMAX_MULTICLASS else np.eye(2)[y]
+    train_probe(x, targets, mode, iters=iters, step=0.5)
+    assert len(works) == iters + 1
+    assert isinstance(works[0], ProbeWork) and all(w is works[0] for w in works)
 
 
 # ---------------------------------------------------------------------------

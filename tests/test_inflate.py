@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,16 @@ def test_equivalence_k1_zero_deviation():
     result = inflation_equivalence(net, 1, x, tol=1e-12)
     assert result.ok
     assert result.max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_equivalence_rejects_a_tol_not_finite_and_non_negative(tol):
+    rng = np.random.default_rng(3)
+    net = random_2d_net(rng, depth=2)
+    x = rng.standard_normal((net.conv_layers()[0].weights.shape[1], 8, 8))
+    with pytest.raises(ValidationError, match=f"^tol must be finite and >= 0, got {tol}$"):
+        inflation_equivalence(net, 1, x, tol=tol)
+    assert inflation_equivalence(net, 1, x, tol=0.0).ok  # k=1 inflates exactly
 
 
 def test_equivalence_random_nets():
