@@ -168,6 +168,10 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_inflation(args: argparse.Namespace) -> int:
+    if args.size < 1:
+        raise ValidationError(f"size must be >= 1, got {args.size}")
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     net = load_net(args.net)
     if not net.is_2d():
         raise ValidationError(f"{args.net}: verify-inflation needs a net of 2D conv layers")

@@ -23,6 +23,7 @@ from .netops import (
     NetSpec,
     ReluLayer,
     SoftmaxLayer,
+    same_padding,
 )
 from .records import ValidationError
 
@@ -77,10 +78,8 @@ def _time_margins(net3d: NetSpec) -> tuple[int, int]:
     left = right = 0
     for layer in net3d.layers:
         if isinstance(layer, Conv3dLayer):
-            kt = layer.weights.shape[2]
-            l = (kt - 1) // 2
-            left += l
-            right += kt - 1 - l
+            l, r = same_padding(layer.weights.shape[2])
+            left, right = left + l, right + r
     return left, right
 
 

@@ -1,8 +1,10 @@
 """Minimal forward-only network: convolutions, ReLU, pooling, dense head.
 
 Convolution uses the cross-correlation convention (no kernel flip) with
-zero padding in "same" mode.  Everything computes in float64 with a fixed
-summation order, so results are reproducible bit-for-bit.
+zero padding in "same" mode.  One kernel serves both ranks: ``conv2d_forward``
+and ``conv3d_forward`` differ only in their per-axis padding flags.  Everything
+computes in float64 with a fixed summation order, so results are reproducible
+bit-for-bit.
 
 A net is an ordered list of layers; at most one dense layer, which must be
 terminal (an optional softmax may follow it).  Net descriptions can be saved
@@ -27,10 +29,38 @@ def softmax(z: np.ndarray, axis: int | None) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _pad_amounts(kernel: int) -> tuple[int, int]:
-    # SAME padding for stride 1: total k-1, split (left, right)
+def same_padding(kernel: int) -> tuple[int, int]:
+    """SAME padding of one axis at stride 1: total k-1, split (left, right)."""
     left = (kernel - 1) // 2
     return left, kernel - 1 - left
+
+
+def _conv(name: str, x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None, stride: int,
+          same: tuple[bool, ...]) -> np.ndarray:
+    """(c,*spatial) x (o,c,*kernel) -> (o,*spatial'): one SAME flag per spatial axis,
+    ``stride`` on the last two.  ``np.tensordot`` in place of this einsum sums in
+    another order and changes the last bits."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    rank = len(same)
+    if x.ndim != rank + 1 or w.ndim != rank + 2:
+        raise ValidationError(f"{name} shapes: x {x.shape}, w {w.shape}")
+    if x.shape[0] != w.shape[1]:
+        raise ValidationError(f"{name} channel mismatch: input {x.shape[0]}, kernel {w.shape[1]}")
+    if stride < 1:
+        raise ValidationError(f"{name} stride must be >= 1, got {stride}")
+    kernel = w.shape[2:]
+    if any(same):
+        x = np.pad(x, [(0, 0)] + [same_padding(k) if s else (0, 0) for k, s in zip(kernel, same)])
+    if any(side < k for side, k in zip(x.shape[1:], kernel)):
+        raise ValidationError(f"input {x.shape} smaller than kernel {kernel}")
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=tuple(range(1, rank + 1)))
+    windows = windows[(slice(None),) * (rank - 1) + (slice(None, None, stride),) * 2]
+    at, taps = "tij"[-rank:], "khw"[-rank:]  # output positions, kernel taps
+    out = np.einsum(f"c{at}{taps},oc{taps}->o{at}", windows, w, optimize=True)
+    if bias is not None:
+        out = out + np.asarray(bias, dtype=np.float64)[(slice(None),) + (None,) * rank]
+    return out
 
 
 def conv2d_forward(
@@ -41,26 +71,7 @@ def conv2d_forward(
     same_pad: bool = False,
 ) -> np.ndarray:
     """(c,h,w) x (o,c,kh,kw) -> (o,h',w') direct convolution."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 3 or w.ndim != 4:
-        raise ValidationError(f"conv2d shapes: x {x.shape}, w {w.shape}")
-    if x.shape[0] != w.shape[1]:
-        raise ValidationError(
-            f"conv2d channel mismatch: input {x.shape[0]}, kernel {w.shape[1]}"
-        )
-    _o, _c, kh, kw = w.shape
-    if same_pad:
-        (pt, pb), (pl, pr) = _pad_amounts(kh), _pad_amounts(kw)
-        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr)))
-    if x.shape[1] < kh or x.shape[2] < kw:
-        raise ValidationError(f"input {x.shape} smaller than kernel {(kh, kw)}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]  # (c, h', w', kh, kw)
-    out = np.einsum("cijhw,ochw->oij", windows, w, optimize=True)
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64)[:, None, None]
-    return out
+    return _conv("conv2d", x, weights, bias, stride, (same_pad, same_pad))
 
 
 def conv3d_forward(
@@ -76,30 +87,9 @@ def conv3d_forward(
     Spatial and temporal padding are controlled independently; the temporal
     flag defaults to the spatial one and temporal stride is always 1.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 4 or w.ndim != 5:
-        raise ValidationError(f"conv3d shapes: x {x.shape}, w {w.shape}")
-    if x.shape[0] != w.shape[1]:
-        raise ValidationError(
-            f"conv3d channel mismatch: input {x.shape[0]}, kernel {w.shape[1]}"
-        )
-    _o, _c, kt, kh, kw = w.shape
     if time_same_pad is None:
         time_same_pad = same_pad
-    pads = [(0, 0)]
-    pads.append(_pad_amounts(kt) if time_same_pad else (0, 0))
-    pads.append(_pad_amounts(kh) if same_pad else (0, 0))
-    pads.append(_pad_amounts(kw) if same_pad else (0, 0))
-    x = np.pad(x, pads)
-    if x.shape[1] < kt or x.shape[2] < kh or x.shape[3] < kw:
-        raise ValidationError(f"input {x.shape} smaller than kernel {(kt, kh, kw)}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kt, kh, kw), axis=(1, 2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (c, t', h', w', kt, kh, kw)
-    out = np.einsum("ctijkhw,ockhw->otij", windows, w, optimize=True)
-    if bias is not None:
-        out = out + np.asarray(bias, dtype=np.float64)[:, None, None, None]
-    return out
+    return _conv("conv3d", x, weights, bias, stride, (time_same_pad, same_pad, same_pad))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +182,11 @@ class NetSpec:
             conv = not isinstance(layer, DenseLayer)
             if conv and pooled:
                 raise ValidationError(f"layer {i}: conv after global pooling")
+            for flag in fields(layer)[2:]:
+                value = getattr(layer, flag.name)
+                if type(value) is not type(flag.default):
+                    kind = type(flag.default).__name__
+                    raise ValidationError(f"layer {i}: {flag.name} must be {kind}, got {value!r}")
             if conv and layer.stride < 1:
                 raise ValidationError(f"layer {i}: stride must be >= 1")
             out_ch, in_ch = np.shape(layer.weights)[:2]
@@ -270,11 +265,10 @@ def _load_layer(path: Path, i: int, entry: object) -> Layer:
             for name, layout in tensors
             if name in entry
         }
-        params.update(
-            (f.name, type(f.default)(entry[f.name])) for f in fields(cls)[2:] if f.name in entry
-        )
+        # flags keep their JSON types; NetSpec rejects any but bool pads and an int stride
+        params.update((f.name, entry[f.name]) for f in fields(cls)[2:] if f.name in entry)
         return cls(**params)
-    # e.g. no "weights", a bad flag, or a tensor file that is missing or a directory
+    # e.g. no "weights", or a tensor file that is missing or a directory
     except (TypeError, ValueError, OverflowError, OSError) as exc:
         raise ValidationError(f"{path}: layer {i}: {exc}") from exc
 

@@ -452,3 +452,18 @@ def test_module_entry_point_rejects_out_of_range_numbers_in_one_line(tmp_path, c
                           capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr.splitlines()) == (2, [message])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--size", "-1", "error: size must be >= 1, got -1"),
+    ("--size", "0", "error: size must be >= 1, got 0"),
+    ("--seed", "-1", "error: seed must be >= 0, got -1"),
+])
+def test_verify_inflation_rejects_a_bad_size_or_seed_in_one_line(tmp_path, flag, value, message):
+    net = tmp_path / "net2d.json"
+    save_net(NetSpec([Conv2dLayer(np.ones((1, 1, 3, 3)), np.zeros(1), 1, True)]), net)
+    src = str(Path(corpusforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "corpusforge.cli", "verify-inflation", "--net", str(net),
+                           "--k", "3", flag, value], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (2, [message], "")

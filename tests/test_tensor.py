@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpusforge import netops
+from corpusforge.inflate import _time_margins
 from corpusforge.netops import (
     Conv2dLayer,
     Conv3dLayer,
@@ -14,6 +20,7 @@ from corpusforge.netops import (
     conv2d_forward,
     conv3d_forward,
     load_net,
+    same_padding,
     save_net,
 )
 from corpusforge.records import ValidationError
@@ -189,3 +196,160 @@ def test_softmax_layer_normalizes():
     out = SoftmaxLayer().forward(np.array([1.0, 2.0, 3.0]))
     assert abs(out.sum() - 1.0) < 1e-12
     assert np.argmax(out) == 2
+
+
+# ---------------------------------------------------------------------------
+# One kernel behind both ranks: the two einsum kernels it replaced are the
+# bit-for-bit reference.
+
+
+def _old_pad_amounts(kernel):
+    left = (kernel - 1) // 2
+    return left, kernel - 1 - left
+
+
+def _old_conv2d(x, w, bias, stride, same_pad):
+    _o, _c, kh, kw = w.shape
+    if same_pad:
+        (pt, pb), (pl, pr) = _old_pad_amounts(kh), _old_pad_amounts(kw)
+        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    out = np.einsum("cijhw,ochw->oij", windows, w, optimize=True)
+    if bias is not None:
+        out = out + bias[:, None, None]
+    return out
+
+
+def _old_conv3d(x, w, bias, stride, same_pad, time_same_pad):
+    _o, _c, kt, kh, kw = w.shape
+    if time_same_pad is None:
+        time_same_pad = same_pad
+    pads = [(0, 0)]
+    pads.append(_old_pad_amounts(kt) if time_same_pad else (0, 0))
+    pads.append(_old_pad_amounts(kh) if same_pad else (0, 0))
+    pads.append(_old_pad_amounts(kw) if same_pad else (0, 0))
+    x = np.pad(x, pads)
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kt, kh, kw), axis=(1, 2, 3))
+    windows = windows[:, :, ::stride, ::stride]
+    out = np.einsum("ctijkhw,ockhw->otij", windows, w, optimize=True)
+    if bias is not None:
+        out = out + bias[:, None, None, None]
+    return out
+
+
+@st.composite
+def _conv_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = draw(st.lists(st.integers(1, 7), min_size=2, max_size=3))
+    kernel = [draw(st.integers(1, side)) for side in sides]
+    c, o = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = rng.standard_normal((c, *sides))
+    if draw(st.booleans()):
+        x[x < 0] = 0.0  # zero products, where a -0.0 would show
+    w = rng.standard_normal((o, c, *kernel))
+    bias = rng.standard_normal(o) if draw(st.booleans()) else None
+    flags = dict(stride=draw(st.integers(1, 3)), same_pad=draw(st.booleans()))
+    if len(sides) == 3:
+        flags["time_same_pad"] = draw(st.sampled_from([None, False, True]))
+    return x, w, bias, flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(_conv_cases())
+def test_conv_equals_the_old_einsum_kernels_bit_for_bit(case):
+    x, w, bias, flags = case
+    if x.ndim == 3:
+        got = conv2d_forward(x, w, bias, **flags)
+        want = _old_conv2d(x, w, bias, **flags)
+        # conv3d over a unit time axis runs the same contraction
+        unit_time = conv3d_forward(x[:, None], w[:, :, None], bias, **flags)[:, 0]
+        assert unit_time.tobytes() == want.tobytes()
+    else:
+        got = conv3d_forward(x, w, bias, **flags)
+        want = _old_conv3d(x, w, bias, **flags)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 9) | st.none(), max_size=5))
+def test_time_margins_sum_the_same_padding_of_each_time_kernel(kernels):
+    layers = [
+        ReluLayer() if kt is None else Conv3dLayer(np.zeros((1, 1, kt, 1, 1)))
+        for kt in kernels
+    ]
+    want_left = sum((kt - 1) // 2 for kt in kernels if kt is not None)
+    want_right = sum(kt - 1 - (kt - 1) // 2 for kt in kernels if kt is not None)
+    assert _time_margins(NetSpec(layers)) == (want_left, want_right)
+    assert [same_padding(kt) for kt in (1, 2, 3, 4, 5)] == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+
+
+def test_each_public_conv_runs_the_kernel_once(monkeypatch):
+    calls = []
+    kernel = netops._conv
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    def no_3d(*args, **kwargs):
+        raise AssertionError("conv2d_forward called conv3d_forward")
+
+    monkeypatch.setattr(netops, "_conv", counted)
+    with monkeypatch.context() as patched:
+        patched.setattr(netops, "conv3d_forward", no_3d)
+        conv2d_forward(np.ones((1, 4, 4)), np.ones((2, 1, 3, 3)), same_pad=True)
+        Conv2dLayer(np.ones((2, 1, 3, 3))).forward(np.ones((1, 4, 4)))
+    assert calls == ["conv2d", "conv2d"]
+    conv3d_forward(np.ones((1, 3, 4, 4)), np.ones((2, 1, 3, 3, 3)))
+    Conv3dLayer(np.ones((2, 1, 3, 3, 3))).forward(np.ones((1, 3, 4, 4)))
+    assert calls == ["conv2d", "conv2d", "conv3d", "conv3d"]
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_conv_rejects_a_stride_below_one(stride):
+    with pytest.raises(ValidationError, match=f"conv2d stride must be >= 1, got {stride}"):
+        conv2d_forward(np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)), stride=stride)
+    with pytest.raises(ValidationError, match=f"conv3d stride must be >= 1, got {stride}"):
+        conv3d_forward(np.ones((1, 2, 4, 4)), np.ones((1, 1, 2, 2, 2)), stride=stride)
+
+
+# ---------------------------------------------------------------------------
+# Net flags are typed: JSON true/false pads and an integer stride.
+
+_BAD_FLAGS = [
+    ("conv2d", "same_pad", "false", "same_pad must be bool, got 'false'"),
+    ("conv2d", "same_pad", None, "same_pad must be bool, got None"),
+    ("conv2d", "same_pad", 1, "same_pad must be bool, got 1"),
+    ("conv3d", "time_same_pad", "true", "time_same_pad must be bool, got 'true'"),
+    ("conv3d", "time_same_pad", 0, "time_same_pad must be bool, got 0"),
+    ("conv2d", "stride", 2.5, "stride must be int, got 2.5"),
+    ("conv2d", "stride", 2.0, "stride must be int, got 2.0"),
+    ("conv2d", "stride", "2", "stride must be int, got '2'"),
+    ("conv3d", "stride", True, "stride must be int, got True"),
+    ("conv3d", "stride", None, "stride must be int, got None"),
+]
+
+
+@pytest.mark.parametrize("kind, flag, value, message", _BAD_FLAGS)
+def test_load_net_rejects_an_untyped_flag_naming_file_and_layer(tmp_path, kind, flag, value, message):
+    conv = Conv2dLayer(np.ones((1, 1, 3, 3))) if kind == "conv2d" else Conv3dLayer(np.ones((1, 1, 3, 3, 3)))
+    path = tmp_path / "net.json"
+    save_net(NetSpec([ReluLayer(), conv]), path)
+    doc = json.loads(path.read_text())
+    doc["layers"][1][flag] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError) as info:
+        load_net(path)
+    assert str(info.value) == f"{path}: layer 1: {message}"
+
+
+@pytest.mark.parametrize("kind, flag, value, message", _BAD_FLAGS)
+def test_netspec_rejects_an_untyped_flag(kind, flag, value, message):
+    conv = Conv2dLayer(np.ones((1, 1, 3, 3))) if kind == "conv2d" else Conv3dLayer(np.ones((1, 1, 3, 3, 3)))
+    setattr(conv, flag, value)
+    with pytest.raises(ValidationError) as info:
+        NetSpec([conv])
+    assert str(info.value) == f"layer 0: {message}"
+
