@@ -4,9 +4,10 @@ Inflation lifts a pretrained (out, in, h, w) kernel to (out, in, k, h, w) by
 repeating the weights k times along time, divided by k.  The division is
 what makes the 3D net reproduce the 2D net exactly on inputs that are
 constant in time: each temporal slice contributes w/k of an identical
-response.  :func:`inflation_equivalence` verifies that identity numerically,
-restricting the comparison to a temporal position whose receptive field
-never touches the zero time-padding.
+response.  :func:`inflation_equivalence` verifies that identity numerically
+at one temporal position: it feeds exactly that position's receptive field
+in time and runs each conv time-VALID over it, so no zero time-padding is
+built and every layer computes only the slices the next one reads.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .netops import (
     NetSpec,
     ReluLayer,
     SoftmaxLayer,
+    conv3d_forward,
     same_padding,
 )
 from .records import ValidationError
@@ -74,7 +76,7 @@ def inflate_net(net2d: NetSpec, k: int, normalize: bool = True) -> NetSpec:
 
 
 def _time_margins(net3d: NetSpec) -> tuple[int, int]:
-    """Total left/right temporal contamination from zero padding."""
+    """Slices before/after one output position in its receptive field in time."""
     left = right = 0
     for layer in net3d.layers:
         if isinstance(layer, Conv3dLayer):
@@ -83,19 +85,23 @@ def _time_margins(net3d: NetSpec) -> tuple[int, int]:
     return left, right
 
 
-def _forward_time_slice(net3d: NetSpec, x3d: np.ndarray, t_index: int) -> np.ndarray:
-    """Forward pass that pools only the given (temporally valid) time slice."""
+def _forward_time_slice(net3d: NetSpec, x3d: np.ndarray) -> np.ndarray:
+    """Forward pass with every conv time-VALID, down to the one time slice left.
+
+    Each conv shortens the time axis by its kernel's k - 1, so an input of
+    ``left + right + 1`` slices (:func:`_time_margins`) leaves a single slice
+    after the last conv; global pooling, or the returned output, reads it.
+    """
     out = np.asarray(x3d, dtype=np.float64)
-    sliced = False
+    pooled = False
     for layer in net3d.layers:
-        if isinstance(layer, GlobalAvgPoolLayer) and not sliced:
-            out = out[:, t_index].reshape(out.shape[0], -1).mean(axis=1)
-            sliced = True
+        if isinstance(layer, Conv3dLayer):
+            out = conv3d_forward(out, layer.weights, layer.bias, layer.stride, layer.same_pad,
+                                 time_same_pad=False)
         else:
+            pooled = pooled or isinstance(layer, GlobalAvgPoolLayer)
             out = layer.forward(out)
-    if not sliced:
-        out = out[:, t_index]
-    return out
+    return out if pooled else out[:, 0]
 
 
 @dataclass
@@ -114,20 +120,23 @@ def inflation_equivalence(
 ) -> EquivalenceResult:
     """Check inflated(replicated input) == 2D net output within tol.
 
-    The input image is replicated along time far enough that one temporal
-    position remains unaffected by the zero time-padding of every layer;
-    outputs are compared at that position (global pooling, when present,
-    averages only over it).
+    The (c, h, w) input image is replicated along time over the receptive
+    field of one temporal position of the inflated net, ``left + right + 1``
+    slices.  Each conv runs time-VALID over it, so the last conv outputs
+    that position alone, with no zero time-padding anywhere; outputs are
+    compared there (global pooling, when present, averages only over it).
     """
     if not 0 <= tol < math.inf:
         raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    x2d = np.asarray(x2d, dtype=np.float64)
+    if x2d.ndim != 3:
+        raise ValidationError(f"x2d must be a (c, h, w) image, got shape {x2d.shape}")
     if not net2d.is_2d():
         raise ValidationError("inflation_equivalence expects a 2D conv net")
     net3d = inflate_net(net2d, k, normalize=normalize)
     left, right = _time_margins(net3d)
-    t_total = left + right + 1
-    x3d = np.repeat(np.asarray(x2d, dtype=np.float64)[:, None, :, :], t_total, axis=1)
-    got = _forward_time_slice(net3d, x3d, left)
+    x3d = np.repeat(x2d[:, None, :, :], left + right + 1, axis=1)
+    got = _forward_time_slice(net3d, x3d)
     want = net2d.forward(x2d)
     deviation = float(np.max(np.abs(got - want))) if got.size else 0.0
     return EquivalenceResult(ok=deviation <= tol, max_deviation=deviation, tol=tol)

@@ -47,8 +47,12 @@ def _conv(name: str, x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None
         raise ValidationError(f"{name} shapes: x {x.shape}, w {w.shape}")
     if x.shape[0] != w.shape[1]:
         raise ValidationError(f"{name} channel mismatch: input {x.shape[0]}, kernel {w.shape[1]}")
+    if not isinstance(stride, (int, np.integer)):
+        raise ValidationError(f"{name} stride must be an integer, got {stride!r}")
     if stride < 1:
         raise ValidationError(f"{name} stride must be >= 1, got {stride}")
+    if bias is not None and np.shape(bias) != w.shape[:1]:
+        raise ValidationError(f"{name} bias shape {np.shape(bias)}, expected ({w.shape[0]},)")
     kernel = w.shape[2:]
     if any(same):
         x = np.pad(x, [(0, 0)] + [same_padding(k) if s else (0, 0) for k, s in zip(kernel, same)])
@@ -189,6 +193,10 @@ class NetSpec:
                     raise ValidationError(f"layer {i}: {flag.name} must be {kind}, got {value!r}")
             if conv and layer.stride < 1:
                 raise ValidationError(f"layer {i}: stride must be >= 1")
+            ndim = {Conv2dLayer: 4, Conv3dLayer: 5, DenseLayer: 2}[type(layer)]
+            if np.ndim(layer.weights) != ndim:
+                raise ValidationError(
+                    f"layer {i}: weights must be {ndim}-D, got shape {np.shape(layer.weights)}")
             out_ch, in_ch = np.shape(layer.weights)[:2]
             if channels is not None and in_ch != channels:
                 unit = "input channels" if conv else "features"

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from corpusforge import inflate as inflate_module
 from corpusforge.inflate import (
+    _forward_time_slice,
+    _time_margins,
     center_crop,
     center_crop_box,
     fcn_transform,
@@ -166,6 +172,127 @@ def test_negative_control_deviation_scale():
         result = inflation_equivalence(net, k, x, tol=1e-5, normalize=False)
         want = (k - 1) * float(np.max(np.abs(out2d)))
         assert result.max_deviation == pytest.approx(want, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The check runs each conv time-VALID over one slice's receptive field.  The
+# reference is the full-padding pass it replaced: every conv time-SAME over all
+# left + right + 1 slices, then one slice read.
+
+
+def _full_padding_time_slice(net3d: NetSpec, x3d: np.ndarray, t_index: int) -> np.ndarray:
+    out = np.asarray(x3d, dtype=np.float64)
+    sliced = False
+    for layer in net3d.layers:
+        if isinstance(layer, GlobalAvgPoolLayer) and not sliced:
+            out = out[:, t_index].reshape(out.shape[0], -1).mean(axis=1)
+            sliced = True
+        else:
+            out = layer.forward(out)
+    if not sliced:
+        out = out[:, t_index]
+    return out
+
+
+@st.composite
+def _inflation_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = c_in = draw(st.integers(1, 3))
+    layers: list = []
+    for _ in range(draw(st.integers(1, 3))):
+        out_ch, kernel = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        layers += [
+            Conv2dLayer(
+                weights=rng.standard_normal((out_ch, channels, kernel, kernel)),
+                bias=rng.standard_normal(out_ch) if draw(st.booleans()) else None,
+                stride=draw(st.integers(1, 2)),
+                same_pad=draw(st.booleans()),
+            ),
+            ReluLayer(),
+        ]
+        channels = out_ch
+    if draw(st.booleans()):
+        layers += [GlobalAvgPoolLayer(), DenseLayer(rng.standard_normal((3, channels)))]
+    k, normalize, replicated = draw(st.integers(1, 7)), draw(st.booleans()), draw(st.booleans())
+    return NetSpec(layers), k, normalize, rng, c_in, draw(st.integers(1, 12)), replicated
+
+
+@settings(max_examples=300, deadline=None)
+@given(_inflation_cases())
+def test_time_valid_pass_matches_the_full_padding_pass(case):
+    net2d, k, normalize, rng, c_in, side, replicated = case
+    x2d = rng.standard_normal((c_in, side, side))
+    try:
+        net2d.forward(x2d)
+    except ValidationError:
+        assume(False)  # the image is smaller than a kernel somewhere
+    net3d = inflate_net(net2d, k, normalize=normalize)
+    left, right = _time_margins(net3d)
+    t_total = left + right + 1
+    if replicated:
+        x3d = np.repeat(x2d[:, None], t_total, axis=1)
+    else:  # any input: the receptive field never reaches the zero time-padding
+        x3d = rng.standard_normal((c_in, t_total, side, side))
+    got = _forward_time_slice(net3d, x3d)
+    want = _full_padding_time_slice(net3d, x3d, left)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    if k == 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * float(np.max(np.abs(want), initial=0.0)))
+
+
+def _three_conv_net(rng: np.random.Generator, widths: tuple[int, ...]) -> NetSpec:
+    layers: list = []
+    for c_in, c_out in zip(widths, widths[1:]):
+        w = rng.standard_normal((c_out, c_in, 3, 3)) / math.sqrt(9 * c_in)
+        layers += [Conv2dLayer(w, 0.1 * rng.standard_normal(c_out), 1, True), ReluLayer()]
+    layers += [GlobalAvgPoolLayer(), DenseLayer(rng.standard_normal((10, widths[-1])), rng.standard_normal(10))]
+    return NetSpec(layers)
+
+
+def test_each_inflated_conv_computes_only_the_slices_the_next_one_reads(monkeypatch):
+    rng = np.random.default_rng(12)
+    net = _three_conv_net(rng, (3, 4, 4, 4))
+    time_lengths = []
+    conv3d = inflate_module.conv3d_forward
+
+    def counted(*args, **kwargs):
+        out = conv3d(*args, **kwargs)
+        time_lengths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(inflate_module, "conv3d_forward", counted)
+    assert inflation_equivalence(net, 5, rng.standard_normal((3, 8, 8))).ok
+    assert time_lengths == [9, 5, 1]
+
+
+def test_equivalence_memory_peak_at_k5():
+    # the full-padding pass peaked at ~180 MiB here: a (64, 13, 24, 24, 5, 3, 3) window copy
+    rng = np.random.default_rng(13)
+    net = _three_conv_net(rng, (3, 32, 64, 64))
+    x = rng.standard_normal((3, 24, 24))
+    tracemalloc.start()
+    try:
+        result = inflation_equivalence(net, 5, x)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ok
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (1, 1, 8, 8), (), (8,)])
+def test_equivalence_rejects_an_image_that_is_not_3d_before_inflating(monkeypatch, shape):
+    rng = np.random.default_rng(14)
+    net = random_2d_net(rng, depth=1)
+
+    def no_inflation(*args, **kwargs):
+        raise AssertionError("inflated before the input was checked")
+
+    monkeypatch.setattr(inflate_module, "inflate_net", no_inflation)
+    with pytest.raises(ValidationError, match=r"^x2d must be a \(c, h, w\) image, got shape "):
+        inflation_equivalence(net, 3, np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
