@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .records import ValidationError, read_exact, write_file
 
 SIGNATURE_DIM = 64

@@ -11,9 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dedup as dedup_mod
+from ._lazy import np
 from .census import decode_frames, load_raw_frames
 from .evalmetrics import accuracy_topk, mean_average_precision, uniform_clip_starts
 from .inflate import fcn_transform, inflate, inflation_equivalence, inflate_net

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .census import SIGNATURE_DIM, SignatureSequence, cosine
 from .records import ValidationError, write_file
 from .rng import make_rng

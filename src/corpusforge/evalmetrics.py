@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from ._lazy import np
 from .netops import softmax
 from .records import LabelSpace, ValidationError, VideoRecord, assign_label, matches_by_video
 

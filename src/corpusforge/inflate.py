@@ -14,8 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .netops import (
     Conv2dLayer,
     Conv3dLayer,
@@ -35,8 +34,8 @@ def inflate(weights2d: np.ndarray, k: int, normalize: bool = True) -> np.ndarray
     w = np.asarray(weights2d, dtype=np.float64)
     if w.ndim != 4:
         raise ValidationError(f"expected (out,in,h,w) weights, got {w.shape}")
-    if k < 1:
-        raise ValidationError(f"temporal extent k must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"temporal extent k must be an integer >= 1, got {k!r}")
     out = np.repeat(w[:, :, None, :, :], k, axis=2)
     if normalize:
         out = out / k

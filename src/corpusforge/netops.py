@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
+from ._lazy import np
 from .records import ValidationError, read_json, write_file
 from .tensor import Layout, WeightTensor, load_weights, save_weights
 
@@ -178,6 +177,7 @@ class NetSpec:
 
     def _validate_channel_chain(self) -> None:
         channels: int | None = None
+        conv_type: type | None = None
         pooled = False
         for i, layer in enumerate(self.layers):
             pooled = pooled or isinstance(layer, GlobalAvgPoolLayer)
@@ -186,6 +186,12 @@ class NetSpec:
             conv = not isinstance(layer, DenseLayer)
             if conv and pooled:
                 raise ValidationError(f"layer {i}: conv after global pooling")
+            if conv:
+                if conv_type not in (None, type(layer)):
+                    raise ValidationError(
+                        f"layer {i}: {type(layer).__name__} after a {conv_type.__name__}; "
+                        "a net's convs are all 2D or all 3D")
+                conv_type = type(layer)
             for flag in fields(layer)[2:]:
                 value = getattr(layer, flag.name)
                 if type(value) is not type(flag.default):

@@ -24,8 +24,7 @@ import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .records import ValidationError, read_exact, write_file
 
 _CFFT_MAGIC = b"CFFT"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import struct
 
-import numpy as np
+from ._lazy import np
 
 MASK64 = (1 << 64) - 1
 

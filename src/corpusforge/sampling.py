@@ -21,8 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .manifest import DatasetManifest, ManifestRow
 from .records import (
     LabelHistogram,

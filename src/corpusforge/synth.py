@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from itertools import permutations
 
-import numpy as np
-
+from ._lazy import np
 from .census import FrameVideo
 from .rng import make_rng
 

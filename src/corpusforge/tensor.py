@@ -14,8 +14,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .records import ValidationError, read_exact, write_file
 
 _WTSR_MAGIC = b"WTSR"

@@ -105,6 +105,24 @@ def test_inflate_rejects_bad_k():
         inflate(np.ones((1, 1, 3, 3)), 0)
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, np.float64(2.0), True, "3", None, 0, np.int64(-1)])
+def test_inflate_and_the_equivalence_check_reject_a_k_that_is_not_an_integer_of_at_least_one(k):
+    message = f"temporal extent k must be an integer >= 1, got {k!r}"
+    with pytest.raises(ValidationError) as info:
+        inflate(np.ones((1, 1, 3, 3)), k)
+    assert str(info.value) == message
+    net = NetSpec([Conv2dLayer(np.ones((1, 1, 3, 3)))])
+    with pytest.raises(ValidationError) as info:
+        inflation_equivalence(net, k, np.ones((1, 5, 5)))
+    assert str(info.value) == message
+
+
+def test_inflate_accepts_a_numpy_integer_k():
+    assert inflate(np.ones((1, 1, 3, 3)), np.int64(3)).shape == (1, 1, 3, 3, 3)
+    assert inflation_equivalence(NetSpec([Conv2dLayer(np.ones((1, 1, 3, 3)))]), np.int32(2),
+                                 np.ones((1, 5, 5))).ok
+
+
 def test_inflate_net_structure_preserved():
     rng = np.random.default_rng(2)
     net = random_2d_net(rng, depth=2)

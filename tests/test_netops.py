@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,11 +69,41 @@ def test_netspec_rejects_weights_of_the_wrong_rank(layer, ndim, shape):
 
 
 def test_netspec_accepts_weights_of_each_layer_rank(tmp_path):
-    net = NetSpec([
-        Conv2dLayer(np.ones((2, 1, 3, 3))),
-        Conv3dLayer(np.ones((2, 2, 1, 1, 1))),
-        GlobalAvgPoolLayer(),
-        DenseLayer(np.ones((3, 2))),
-    ])
-    save_net(net, tmp_path / "net.json")
-    assert [np.ndim(l.weights) for l in load_net(tmp_path / "net.json").conv_layers()] == [4, 5]
+    # a net's convs are all 2D or all 3D, so each conv rank gets its own net
+    for ndim, convs in [
+        (4, [Conv2dLayer(np.ones((2, 1, 3, 3))), Conv2dLayer(np.ones((2, 2, 1, 1)))]),
+        (5, [Conv3dLayer(np.ones((2, 1, 1, 3, 3))), Conv3dLayer(np.ones((2, 2, 1, 1, 1)))]),
+    ]:
+        save_net(NetSpec([*convs, GlobalAvgPoolLayer(), DenseLayer(np.ones((3, 2)))]), tmp_path / "net.json")
+        loaded = load_net(tmp_path / "net.json")
+        assert [np.ndim(l.weights) for l in loaded.conv_layers()] == [ndim, ndim]
+        assert np.ndim(loaded.layers[-1].weights) == 2
+
+
+_MIXED = [
+    ([Conv2dLayer(np.ones((2, 1, 3, 3))), Conv3dLayer(np.ones((2, 2, 1, 1, 1)))],
+     "layer 1: Conv3dLayer after a Conv2dLayer; a net's convs are all 2D or all 3D"),
+    ([Conv3dLayer(np.ones((2, 1, 1, 3, 3))), ReluLayer(), Conv2dLayer(np.ones((2, 2, 1, 1)))],
+     "layer 2: Conv2dLayer after a Conv3dLayer; a net's convs are all 2D or all 3D"),
+]
+
+
+@pytest.mark.parametrize("layers,message", _MIXED, ids=["2d-then-3d", "3d-then-2d"])
+def test_netspec_rejects_a_net_that_mixes_2d_and_3d_convs(layers, message):
+    with pytest.raises(ValidationError) as info:
+        NetSpec(layers)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("layers,message", _MIXED, ids=["2d-then-3d", "3d-then-2d"])
+def test_load_net_names_the_file_and_the_layer_of_a_mixed_net(tmp_path, layers, message):
+    # each net is valid up to the offending conv; save it whole, then splice the conv in
+    path = tmp_path / "net.json"
+    save_net(NetSpec(layers[:-1]), path)
+    save_net(NetSpec(layers[-1:]), tmp_path / "last.json")
+    descriptor = json.loads(path.read_text())
+    descriptor["layers"] += json.loads((tmp_path / "last.json").read_text())["layers"]
+    path.write_text(json.dumps(descriptor))
+    with pytest.raises(ValidationError) as info:
+        load_net(path)
+    assert str(info.value) == f"{path}: {message}"
