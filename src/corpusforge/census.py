@@ -173,35 +173,31 @@ class SignatureSequence:
         return int(self.frames.shape[0])
 
 
-def decode_frames(
-    video: FrameVideo,
-    target_fps: float = DEFAULT_FPS,
-    side: int = DEFAULT_SIDE,
-) -> SignatureSequence:
-    """Resample to target fps, grayscale, resize, and extract signatures.
+def decode_frames(video: FrameVideo) -> SignatureSequence:
+    """Resample to DEFAULT_FPS, grayscale, resize to DEFAULT_SIDE, and extract signatures.
 
     Resampling picks the nearest source frame to each output timestamp
-    k / target_fps for k in 0 .. round(duration * target_fps) - 1.  A video
+    k / DEFAULT_FPS for k in 0 .. round(duration * DEFAULT_FPS) - 1.  A video
     that would resample to more than MAX_DECODED_FRAMES (2**18) frames is
     rejected before anything is allocated.
     """
-    span = video.duration_s * target_fps
+    span = video.duration_s * DEFAULT_FPS
     if not span <= MAX_DECODED_FRAMES:
         raise ValidationError(
             f"video {video.video_id!r}: {video.num_frames} frames at {video.fps:g} fps resample "
-            f"to {span:g} frames at {target_fps:g} fps, over the {MAX_DECODED_FRAMES} limit"
+            f"to {span:g} frames at {DEFAULT_FPS:g} fps, over the {MAX_DECODED_FRAMES} limit"
         )
     n_out = max(1, int(round(span)))
     # nondecreasing in k, so each distinct source frame serves one run of outputs
-    picks = np.rint(np.arange(n_out) * (video.fps / target_fps)).astype(np.int64)
+    picks = np.rint(np.arange(n_out) * (video.fps / DEFAULT_FPS)).astype(np.int64)
     sources, runs = np.unique(np.minimum(picks, video.num_frames - 1), return_inverse=True)
     distinct = np.empty((len(sources), SIGNATURE_DIM), dtype=np.float64)
     for start in range(0, len(sources), DECODE_BLOCK):
         block = video.frames[sources[start : start + DECODE_BLOCK]]
         if block.ndim == 4:
             block = np.stack([to_grayscale(frame) for frame in block])
-        if block.shape[1:] != (side, side):
-            block = np.stack([bilinear_resize(frame, side, side) for frame in block])
+        if block.shape[1:] != (DEFAULT_SIDE, DEFAULT_SIDE):
+            block = np.stack([bilinear_resize(frame, DEFAULT_SIDE, DEFAULT_SIDE) for frame in block])
         distinct[start : start + DECODE_BLOCK] = census_signatures(block)
     return SignatureSequence(video_id=video.video_id, frames=distinct[runs])
 

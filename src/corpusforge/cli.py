@@ -33,7 +33,7 @@ from .records import (
 from .sampling import SamplingPlan, Strategy, sample
 from .schedule import lr_schedule, save_schedule
 from .temporal import BudgetMode, BudgetPlan, LengthClass, build_length_class, plan_budget
-from .tensor import Layout, WeightTensor, load_weights, save_weights
+from .tensor import load_weights, save_weights
 
 
 def _cmd_manifest_validate(args: argparse.Namespace) -> int:
@@ -156,9 +156,10 @@ def _cmd_dedup(args: argparse.Namespace) -> int:
 def _cmd_inflate(args: argparse.Namespace) -> int:
     in_path, out_path = Path(args.input), Path(args.output)
     if in_path.suffix == ".wtsr":
-        tensor = load_weights(in_path, Layout.CONV2D)
-        inflated = inflate(tensor.data.astype(np.float64), args.k)
-        save_weights(WeightTensor(inflated, Layout.CONV3D), out_path)
+        weights = load_weights(in_path)
+        if weights.ndim != 4:
+            raise ValidationError(f"{in_path}: expected (out,in,h,w) weights, got {weights.shape}")
+        save_weights(inflate(weights, args.k), out_path)
     else:
         net3d = inflate_net(load_net(in_path), args.k)
         save_net(net3d, out_path)

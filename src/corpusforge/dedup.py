@@ -165,11 +165,11 @@ def dedup_report(
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
     index = build_index(targets, bands=bands, bits=bits, seed=seed)
-    pairs: list[tuple[str, str, float]] = []
-    for source in sources:
-        for target_id, pct in overlap(source, index, tau):
-            if pct > 0.0:
-                pairs.append((source.video_id, target_id, pct))
+    pairs = [
+        (source.video_id, target_id, pct)
+        for source in sources
+        for target_id, pct in overlap(source, index, tau)
+    ]
     return OverlapReport(
         pairs=pairs,
         threshold_pct=threshold_pct,

@@ -29,13 +29,17 @@ from .netops import (
 from .records import ValidationError
 
 
+def _check_extent(k: int) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"temporal extent k must be an integer >= 1, got {k!r}")
+
+
 def inflate(weights2d: np.ndarray, k: int, normalize: bool = True) -> np.ndarray:
     """Repeat (out,in,h,w) weights k times along a new time axis, / k."""
     w = np.asarray(weights2d, dtype=np.float64)
     if w.ndim != 4:
         raise ValidationError(f"expected (out,in,h,w) weights, got {w.shape}")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"temporal extent k must be an integer >= 1, got {k!r}")
+    _check_extent(k)
     out = np.repeat(w[:, :, None, :, :], k, axis=2)
     if normalize:
         out = out / k
@@ -48,6 +52,7 @@ def inflate_net(net2d: NetSpec, k: int, normalize: bool = True) -> NetSpec:
     Inflated convs use same-padding in time so the layer count and the
     temporal length are both preserved.
     """
+    _check_extent(k)  # also for a net without convs, where inflate() never runs
     layers = []
     for layer in net2d.layers:
         if isinstance(layer, Conv2dLayer):

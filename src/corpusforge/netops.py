@@ -18,8 +18,8 @@ from pathlib import Path
 from typing import Union
 
 from ._lazy import np
-from .records import ValidationError, read_json, write_file
-from .tensor import Layout, WeightTensor, load_weights, save_weights
+from .records import ValidationError, read_json, read_object, write_file
+from .tensor import load_weights, save_weights
 
 
 def softmax(z: np.ndarray, axis: int | None) -> np.ndarray:
@@ -231,7 +231,7 @@ class NetSpec:
 NET_FORMAT_TAG = "corpusforge-net-v1"
 
 # A layer with parameters has the fields weights, bias, then the flags stored between
-# "weights" and "bias" in its descriptor; its kind names the Layout of its weights.
+# "weights" and "bias" in its descriptor.
 _LAYER_KINDS: dict[str, type] = {
     "conv2d": Conv2dLayer,
     "conv3d": Conv3dLayer,
@@ -255,46 +255,47 @@ def save_net(net: NetSpec, path: str | Path) -> None:
         entry: dict[str, object] = {"kind": kind}
         if fields(layer):
             entry["weights"] = wfile = f"{stem}_l{i}_w.wtsr"
-            save_weights(WeightTensor(layer.weights, Layout(kind)), parent / wfile)
+            save_weights(layer.weights, parent / wfile)
             entry.update((f.name, getattr(layer, f.name)) for f in fields(layer)[2:])
             if layer.bias is not None:
                 entry["bias"] = bfile = f"{stem}_l{i}_b.wtsr"
-                save_weights(WeightTensor(np.asarray(layer.bias), Layout.VECTOR), parent / bfile)
+                save_weights(layer.bias, parent / bfile)
         described.append(entry)
     text = json.dumps({"format": NET_FORMAT_TAG, "layers": described}, indent=1) + "\n"
     write_file(path, text.encode("utf-8"))
 
 
 def _load_layer(path: Path, i: int, entry: object) -> Layer:
-    if not isinstance(entry, dict):
-        raise ValidationError(f"{path}: layer {i}: expected a JSON object")
-    kind = entry.get("kind")
-    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
-        raise ValidationError(f"{path}: layer {i}: unknown layer kind {kind!r}")
-    cls = _LAYER_KINDS[kind]
-    tensors = (("weights", Layout(kind)), ("bias", Layout.VECTOR)) if fields(cls) else ()
+    where = f"{path}: layer {i}"
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    cls = _LAYER_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None and isinstance(entry, dict):
+        raise ValidationError(f"{where}: unknown layer kind {kind!r}")
+    names = [f.name for f in fields(cls)] if cls else []  # no class: not an object, the check says so
+    entry = read_object(entry, where, frozenset({"kind", *names}), frozenset({"kind", *names[:1]}))
     try:
         params = {
-            name: load_weights(path.parent / entry[name], layout).data.astype(np.float64)
-            for name, layout in tensors
+            name: load_weights(path.parent / entry[name]).astype(np.float64)
+            for name in ("weights", "bias")
             if name in entry
         }
         # flags keep their JSON types; NetSpec rejects any but bool pads and an int stride
         params.update((f.name, entry[f.name]) for f in fields(cls)[2:] if f.name in entry)
         return cls(**params)
-    # e.g. no "weights", or a tensor file that is missing or a directory
+    # e.g. a tensor file name that is not a string, or a file that is missing or a directory
     except (TypeError, ValueError, OverflowError, OSError) as exc:
-        raise ValidationError(f"{path}: layer {i}: {exc}") from exc
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def load_net(path: str | Path) -> NetSpec:
     path = Path(path)
     if path.suffix == ".wtsr":
         # a bare conv kernel is accepted as a single-conv net
-        tensor = load_weights(path)
-        if tensor.layout not in (Layout.CONV2D, Layout.CONV3D):
-            raise ValidationError(f"{path}: bare tensor must be a conv kernel")
-        return NetSpec([_LAYER_KINDS[tensor.layout.value](tensor.data.astype(np.float64))])
+        weights = load_weights(path)
+        cls = {4: Conv2dLayer, 5: Conv3dLayer}.get(weights.ndim)
+        if cls is None:
+            raise ValidationError(f"{path}: bare tensor must be a 4-D or 5-D conv kernel")
+        return NetSpec([cls(weights.astype(np.float64))])
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != NET_FORMAT_TAG:
         raise ValidationError(f"{path}: expected a {NET_FORMAT_TAG} JSON object")

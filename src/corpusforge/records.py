@@ -57,6 +57,24 @@ def read_json(path: str | Path) -> object:
         raise ValidationError(f"{path}: bad JSON: {exc}") from None
 
 
+def read_object(source: object, where: str, allowed: frozenset[str], required: frozenset[str]) -> dict:
+    """The one JSON-object rule: ``source`` (JSON text, or a value already
+    parsed) must be an object whose keys are all ``allowed`` and include every
+    ``required`` one.  Errors start with ``where``, e.g. ``path:line``."""
+    if isinstance(source, str):
+        try:
+            source = json.loads(source)
+        except (ValueError, RecursionError) as exc:  # also an overlong integer, deep nesting
+            raise ValidationError(f"{where}: bad JSON: {exc}") from None
+    if not isinstance(source, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    if not allowed.issuperset(source):
+        raise ValidationError(f"{where}: unknown fields {sorted(set(source) - allowed)}")
+    if not source.keys() >= required:
+        raise ValidationError(f"{where}: missing fields {sorted(required - set(source))}")
+    return source
+
+
 def read_exact(fh: BinaryIO, size: int, path: str | Path, what: str) -> bytes:
     """Read ``size`` bytes, or raise ``path: truncated what`` before allocating
     anything when the file holds fewer (a header can claim any size)."""
@@ -232,6 +250,7 @@ def assigned_pools(
 # Corpus persistence: JSONL, one VideoRecord per line.
 
 _CORPUS_FIELDS = frozenset({"id", "duration_s", "hashtags", "frame_rate", "source_uri"})
+_CORPUS_REQUIRED = frozenset({"id", "duration_s"})
 
 
 def load_corpus(path: str | Path) -> list[VideoRecord]:
@@ -242,15 +261,7 @@ def load_corpus(path: str | Path) -> list[VideoRecord]:
         line = line.strip()
         if not line:
             continue
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also an overlong integer, deep nesting
-            raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ValidationError(f"{path}:{lineno}: expected a JSON object")
-        if not _CORPUS_FIELDS.issuperset(obj):
-            unknown = sorted(set(obj) - _CORPUS_FIELDS)
-            raise ValidationError(f"{path}:{lineno}: unknown fields {unknown}")
+        obj = read_object(line, f"{path}:{lineno}", _CORPUS_FIELDS, _CORPUS_REQUIRED)
         try:
             rec = VideoRecord(
                 id=obj["id"],
@@ -259,8 +270,6 @@ def load_corpus(path: str | Path) -> list[VideoRecord]:
                 frame_rate=float(obj.get("frame_rate", 16.0)),
                 source_uri=obj.get("source_uri"),
             )
-        except KeyError as exc:
-            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if rec.id in seen:
@@ -287,6 +296,8 @@ def save_corpus(corpus: Iterable[VideoRecord], path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Label-space persistence: one JSON object with sorted keys.
 
+_SPACE_FIELDS = frozenset({"name", "kind", "min_count", "entries"})
+
 
 def save_label_space(space: LabelSpace, path: str | Path) -> None:
     obj = {
@@ -299,12 +310,12 @@ def save_label_space(space: LabelSpace, path: str | Path) -> None:
 
 
 def load_label_space(path: str | Path) -> LabelSpace:
-    obj = read_json(path)
-    if not isinstance(obj, dict) or not isinstance(obj.get("entries", {}), dict):
-        raise ValidationError(f"{path}: expected a JSON object with an object of entries")
-    if not isinstance(obj.get("name", ""), str):
+    obj = read_object(read_json(path), str(path), _SPACE_FIELDS, _SPACE_FIELDS)
+    if not isinstance(obj["entries"], dict):
+        raise ValidationError(f"{path}: entries must be a JSON object, got {obj['entries']!r}")
+    if not isinstance(obj["name"], str):
         raise ValidationError(f"{path}: name must be a string, got {obj['name']!r}")
-    min_count = obj.get("min_count", 1)
+    min_count = obj["min_count"]
     if not isinstance(min_count, int) or isinstance(min_count, bool):
         raise ValidationError(f"{path}: min_count must be an integer, got {min_count!r}")
     try:
@@ -312,9 +323,7 @@ def load_label_space(path: str | Path) -> LabelSpace:
             name=obj["name"],
             kind=LabelKind(obj["kind"]),
             entries=obj["entries"],
-            min_count=obj["min_count"],
+            min_count=min_count,
         )
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -28,7 +28,7 @@ from corpusforge.netops import (
 from corpusforge.probe import ProbeMode, save_features
 from corpusforge.records import load_label_space, save_corpus, save_label_space
 from corpusforge.synth import ramp_video, tile_video
-from corpusforge.tensor import Layout, WeightTensor, load_weights, save_weights
+from corpusforge.tensor import load_weights, save_weights
 
 from conftest import corpus_with_counts, zipf_corpus
 
@@ -157,12 +157,12 @@ def test_cli_inflate_tensor_and_net(tmp_path):
     w2d = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
     in_path = tmp_path / "w2d.wtsr"
     out_path = tmp_path / "w3d.wtsr"
-    save_weights(WeightTensor(w2d, Layout.CONV2D), in_path)
+    save_weights(w2d, in_path)
     assert main(["inflate", "--in", str(in_path), "--k", "3", "-o", str(out_path)]) == 0
     inflated = load_weights(out_path)
-    assert inflated.layout is Layout.CONV3D
-    assert inflated.data.shape == (2, 1, 3, 3, 3)
-    assert np.allclose(inflated.data.sum(axis=2), w2d, atol=1e-6)
+    assert inflated.ndim == 5
+    assert inflated.shape == (2, 1, 3, 3, 3)
+    assert np.allclose(inflated.sum(axis=2), w2d, atol=1e-6)
 
     net = NetSpec(
         [
@@ -274,29 +274,50 @@ def test_cli_dedup_video_over_the_frame_limit_is_one_line_error(tmp_path, capsys
     assert len(err.splitlines()) == 1
 
 
+_MANIFEST_HEADER = b'{"format":"corpusforge-manifest-v1","seed":0,"provenance":{}}\n'
+_NET_HEAD = '{"format":"corpusforge-net-v1","layers":'
+
+
 @pytest.mark.parametrize(
     "command, content, message",
     [
         ("sample", b'\xff\xfe{"id":"v","duration_s":1.0}\n', ":1: not valid UTF-8"),
-        ("validate", b"[1]\n", ":1: header must be a JSON object"),
+        ("validate", b"[1]\n", ":1: expected a JSON object"),
         ("validate", b'{"format":"corpusforge-manifest-v1","seed":"x","provenance":{}}\n', ":1: seed must be"),
         ("validate", b"", ":1: empty file"),
+        ("space", b'{"entries":{"a":["a"]},"kind":"seed","min_count":1,"name":"s","nmae":"t"}',
+         ": unknown fields ['nmae']"),
+        ("inflate", (_NET_HEAD + '[{"kind":"conv2d","weights":"w.wtsr","strde":2}]}').encode(),
+         ": layer 0: unknown fields ['strde']"),
+        ("sample", b'{"id":"v","hashtags":["a"]}\n', ":1: missing fields ['duration_s']"),
+        ("validate", _MANIFEST_HEADER + b'{"video_id":"v","clip_start_s":0.0,"clip_len_s":1.0}\n',
+         ":2: missing fields ['label']"),
+        ("inflate-wtsr", struct.pack("<4sHBB2Q", b"WTSR", 1, 0, 2, 2, 2) + bytes(16),
+         ": expected (out,in,h,w) weights, got (2, 2)"),
+        ("inflate-k0", (_NET_HEAD + '[{"kind":"relu"}]}').encode(), "temporal extent k must be an integer >= 1, got 0"),
     ],
 )
 def test_cli_malformed_input_is_one_line_error(pipeline_files, capsys, command, content, message):
-    tmp_path, _corpus_path, _seeds_path = pipeline_files
-    bad = tmp_path / "bad.jsonl"
+    tmp_path, corpus_path, _seeds_path = pipeline_files
+    bad = tmp_path / ("bad.wtsr" if command == "inflate-wtsr" else "bad.jsonl")
     bad.write_bytes(content)
     space_path = tmp_path / "space.json"
     space_path.write_text('{"entries":{"a":["a"]},"kind":"seed","min_count":1,"name":"s"}\n')
-    if command == "sample":
-        argv = ["sample", "--strategy", "random", "--budget", "1", "--corpus", str(bad),
-                "--labelspace", str(space_path), "-o", str(tmp_path / "out.jsonl")]
-    else:
-        argv = ["manifest", "validate", str(bad)]
+    save_weights(np.ones((2, 1, 3, 3)), tmp_path / "w.wtsr")
+    sample = ["sample", "--strategy", "random", "--budget", "1", "-o", str(tmp_path / "out.jsonl")]
+    inflate = ["inflate", "--in", str(bad), "-o", str(tmp_path / "out.json"), "--k"]
+    argv = {
+        "sample": sample + ["--corpus", str(bad), "--labelspace", str(space_path)],
+        "space": sample + ["--corpus", str(corpus_path), "--labelspace", str(bad)],
+        "validate": ["manifest", "validate", str(bad)],
+        "inflate": inflate + ["3"],
+        "inflate-wtsr": inflate + ["3"],
+        "inflate-k0": inflate + ["0"],
+    }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}{message}")
+    named = "" if command == "inflate-k0" else bad  # k is no file's fault
+    assert err.startswith(f"error: {named}{message}")
     assert len(err.splitlines()) == 1
 
 

@@ -48,7 +48,7 @@ from corpusforge.records import (
     save_label_space,
     write_file,
 )
-from corpusforge.tensor import Layout, WeightTensor, load_weights, save_weights
+from corpusforge.tensor import load_weights, save_weights
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
@@ -275,10 +275,10 @@ _net_docs = (
 def test_net_descriptor_loads_or_names_the_file(tmp_path_factory, data):
     folder = tmp_path_factory.mktemp("net")
     rng = np.random.default_rng(0)
-    save_weights(WeightTensor(rng.standard_normal((2, 2, 3, 3)), Layout.CONV2D), folder / "w2.wtsr")
-    save_weights(WeightTensor(rng.standard_normal((2, 2, 1, 3, 3)), Layout.CONV3D), folder / "w3.wtsr")
-    save_weights(WeightTensor(rng.standard_normal((2, 2)), Layout.DENSE), folder / "dense.wtsr")
-    save_weights(WeightTensor(rng.standard_normal(2), Layout.VECTOR), folder / "b.wtsr")
+    save_weights(rng.standard_normal((2, 2, 3, 3)), folder / "w2.wtsr")
+    save_weights(rng.standard_normal((2, 2, 1, 3, 3)), folder / "w3.wtsr")
+    save_weights(rng.standard_normal((2, 2)), folder / "dense.wtsr")
+    save_weights(rng.standard_normal(2), folder / "b.wtsr")
     (folder / "bad.wtsr").write_bytes(b"WTSR\x01\x00\x00\x02")
     path = folder / "net.json"
     path.write_bytes(data)
@@ -286,18 +286,17 @@ def test_net_descriptor_loads_or_names_the_file(tmp_path_factory, data):
 
 
 _finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
-_shapes = hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=3).filter(lambda s: len(s) != 3)
-_ndim_layout = {1: Layout.VECTOR, 2: Layout.DENSE, 4: Layout.CONV2D, 5: Layout.CONV3D}
+_shapes = hnp.array_shapes(min_dims=1, max_dims=5, min_side=1, max_side=3)
 
 
 @settings(max_examples=100, deadline=None)
 @given(hnp.arrays(np.float32, _shapes, elements=_finite32))
 def test_wtsr_round_trips_bit_exactly_with_stable_bytes(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("wtsr") / "t.wtsr"
-    save_weights(WeightTensor(data, _ndim_layout[data.ndim]), path)
+    save_weights(data, path)
     loaded = load_weights(path)
-    assert loaded.layout is _ndim_layout[data.ndim]
-    assert loaded.data.dtype == np.float32 and loaded.data.tobytes() == data.tobytes()
+    assert loaded.shape == data.shape
+    assert loaded.dtype == np.float32 and loaded.tobytes() == data.tobytes()
     save_weights(loaded, path.with_name("again.wtsr"))
     assert path.with_name("again.wtsr").read_bytes() == path.read_bytes()
 

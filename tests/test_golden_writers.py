@@ -31,7 +31,7 @@ from corpusforge.probe import ProbeMode, save_features
 from corpusforge.records import LabelKind, LabelSpace, VideoRecord, save_corpus, save_label_space
 from corpusforge.schedule import lr_schedule, save_schedule
 from corpusforge.synth import ramp_video, tile_video
-from corpusforge.tensor import Layout, WeightTensor, save_weights
+from corpusforge.tensor import save_weights
 
 GOLDEN = {
     "corpus.jsonl": "1a3a3877c6d319d744d4b4bba763e4a3b07368433dd531e75af54767eb6bc36b",
@@ -99,7 +99,7 @@ def write_every_format(out):
     save_net(net2d, out / "net2d.json")
     save_net(inflate_net(net2d, 3), out / "net3d.json")
     save_net(NetSpec([Conv2dLayer(rng.standard_normal((2, 2, 1, 3)))]), out / "nobias.json")
-    save_weights(WeightTensor(rng.standard_normal((2, 4)), Layout.DENSE), out / "bare.wtsr")
+    save_weights(rng.standard_normal((2, 4)), out / "bare.wtsr")
     rgb = rng.integers(0, 256, size=(3, 6, 5, 3)).astype(np.float64)
     save_raw_frames(FrameVideo("rgb", 24.0, rgb), out / "rgb.cfvd")
     x = rng.standard_normal((6, 4))

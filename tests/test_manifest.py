@@ -349,8 +349,8 @@ _HEADER = {"format": "corpusforge-manifest-v1", "seed": 0, "provenance": {}}
 @pytest.mark.parametrize(
     "header, message",
     [
-        ("[1]", "header must be a JSON object"),
-        ('"x"', "header must be a JSON object"),
+        ("[1]", "expected a JSON object"),
+        ('"x"', "expected a JSON object"),
         (json.dumps({**_HEADER, "seed": "x"}), "seed must be an integer"),
         (json.dumps({**_HEADER, "seed": 1.5}), "seed must be an integer"),
         (json.dumps({**_HEADER, "seed": True}), "seed must be an integer"),

@@ -24,31 +24,34 @@ from corpusforge.netops import (
     save_net,
 )
 from corpusforge.records import ValidationError
-from corpusforge.tensor import Layout, WeightTensor, load_weights, save_weights
+from corpusforge.tensor import load_weights, save_weights
 
 from oracles import conv2d_oracle, conv3d_oracle
 
 
 def test_wtsr_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    tensor = WeightTensor(rng.standard_normal((3, 2, 3, 3)).astype(np.float32), Layout.CONV2D)
+    tensor = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
     p1, p2 = tmp_path / "a.wtsr", tmp_path / "b.wtsr"
     save_weights(tensor, p1)
     loaded = load_weights(p1)
-    assert loaded.layout is Layout.CONV2D
-    assert np.array_equal(loaded.data, tensor.data)
+    assert loaded.ndim == 4 and loaded.dtype == np.float32
+    assert np.array_equal(loaded, tensor)
     save_weights(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_wtsr_layout_inference_and_errors(tmp_path):
-    save_weights(WeightTensor(np.zeros(5, dtype=np.float32), Layout.VECTOR), tmp_path / "v.wtsr")
-    assert load_weights(tmp_path / "v.wtsr").layout is Layout.VECTOR
+def test_wtsr_any_rank_loads_and_errors(tmp_path):
+    save_weights(np.zeros(5, dtype=np.float32), tmp_path / "v.wtsr")
+    assert load_weights(tmp_path / "v.wtsr").ndim == 1
     (tmp_path / "bad.wtsr").write_bytes(b"XXXX\x01\x00\x00\x01")
     with pytest.raises(ValidationError, match="magic"):
         load_weights(tmp_path / "bad.wtsr")
     with pytest.raises(ValidationError, match="non-finite"):
-        WeightTensor(np.array([np.nan]), Layout.VECTOR)
+        save_weights(np.array([np.nan]), tmp_path / "nan.wtsr")
+    with pytest.raises(ValidationError, match="non-finite"), np.errstate(over="ignore"):
+        save_weights(np.array([1e300]), tmp_path / "big.wtsr")  # finite in float64, inf in float32
+    assert not (tmp_path / "big.wtsr").exists()
 
 
 def test_conv2d_identity_kernel():
@@ -185,7 +188,7 @@ def test_net_forward_and_round_trip(tmp_path):
 def test_bare_wtsr_loads_as_single_conv_net(tmp_path):
     rng = np.random.default_rng(8)
     w = rng.standard_normal((2, 1, 3, 3)).astype(np.float32)
-    save_weights(WeightTensor(w, Layout.CONV2D), tmp_path / "w.wtsr")
+    save_weights(w, tmp_path / "w.wtsr")
     net = load_net(tmp_path / "w.wtsr")
     assert net.is_2d()
     x = rng.standard_normal((1, 6, 6))
