@@ -221,7 +221,8 @@ def save_raw_frames(video: FrameVideo, path: str | Path) -> None:
     write_file(path, b"".join((_CFVD_HEADER.pack(_CFVD_MAGIC, w, h, n, float(video.fps)), data)))
 
 
-def load_raw_frames(path: str | Path, video_id: str | None = None) -> FrameVideo:
+def load_raw_frames(path: str | Path) -> FrameVideo:
+    """Read a CFVD file; the video id is the file stem."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic, w, h, n, fps = _CFVD_HEADER.unpack(read_exact(fh, _CFVD_HEADER.size, path, "header"))
@@ -230,7 +231,7 @@ def load_raw_frames(path: str | Path, video_id: str | None = None) -> FrameVideo
         payload = read_exact(fh, n * h * w, path, "payload")
     try:
         frames = np.frombuffer(payload, dtype=np.uint8).reshape(n, h, w)
-        return FrameVideo(video_id=video_id or path.stem, fps=fps, frames=frames)
+        return FrameVideo(video_id=path.stem, fps=fps, frames=frames)
     except ValueError as exc:  # a ValidationError, or dims numpy cannot shape
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -32,7 +32,7 @@ class LshIndex:
 
     Each band hashes a vector to r sign bits (dot product against r random
     unit hyperplanes).  The index keeps one row per stored frame: its
-    signature in an (n, dim) array and its b band keys in an (n, b) array.
+    signature in an (n, 64) array and its b band keys in an (n, b) array.
     Similar vectors share a band key with probability (1 - theta/pi)^r per
     band; the candidates of a query are the rows sharing at least one key.
 
@@ -41,32 +41,25 @@ class LshIndex:
     concurrently.
     """
 
-    def __init__(
-        self,
-        bands: int = DEFAULT_BANDS,
-        bits: int = DEFAULT_BITS,
-        seed: int = 0,
-        dim: int = SIGNATURE_DIM,
-    ) -> None:
+    def __init__(self, bands: int = DEFAULT_BANDS, bits: int = DEFAULT_BITS, seed: int = 0) -> None:
         if bands < 1 or bits < 1:
             raise ValidationError("bands and bits must be >= 1")
         self.bands = bands
         self.bits = bits
-        self.dim = dim
         rng = make_rng(seed, "lsh-planes")
-        planes = rng.standard_normal((bands * bits, dim))
+        planes = rng.standard_normal((bands * bits, SIGNATURE_DIM))
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-        self.planes = planes.reshape(bands, bits, dim)
+        self.planes = planes.reshape(bands, bits, SIGNATURE_DIM)
         self._entries: list[tuple[str, int]] = []
-        self._vectors = np.empty((0, dim), dtype=np.float64)
+        self._vectors = np.empty((0, SIGNATURE_DIM), dtype=np.float64)
         self._keys = np.empty((0, bands), dtype=np.int64)
         # blocks inserted since the last query; stacked once by _stack(), so
         # that n inserts cost one copy of the index, not n
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _band_keys(self, vectors: np.ndarray) -> np.ndarray:
-        """(n, bands) r-bit keys of the rows of an (n, dim) array."""
-        bits = (vectors @ self.planes.reshape(-1, self.dim).T) > 0.0
+        """(n, bands) r-bit keys of the rows of an (n, 64) array."""
+        bits = (vectors @ self.planes.reshape(-1, SIGNATURE_DIM).T) > 0.0
         weights = 1 << np.arange(self.bits, dtype=np.int64)
         return bits.reshape(len(vectors), self.bands, self.bits) @ weights
 
@@ -102,13 +95,8 @@ class LshIndex:
         return [self._entries[found[i]] for i in np.flatnonzero(sims >= tau)]
 
 
-def build_index(
-    targets: Iterable[SignatureSequence],
-    bands: int = DEFAULT_BANDS,
-    bits: int = DEFAULT_BITS,
-    seed: int = 0,
-) -> LshIndex:
-    index = LshIndex(bands=bands, bits=bits, seed=seed)
+def build_index(targets: Iterable[SignatureSequence], seed: int = 0) -> LshIndex:
+    index = LshIndex(seed=seed)
     for sig in targets:
         index.insert(sig)
     return index
@@ -156,15 +144,14 @@ def dedup_report(
     targets: Sequence[SignatureSequence],
     tau: float = DEFAULT_TAU,
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
-    bands: int = DEFAULT_BANDS,
-    bits: int = DEFAULT_BITS,
     seed: int = 0,
 ) -> OverlapReport:
-    """Measure every source against an index of all targets."""
+    """Measure every source against an LSH index of all targets, built with
+    the default 16 bands x 8 bits and hyperplanes seeded by ``seed``."""
     for name, value in (("tau", tau), ("threshold_pct", threshold_pct)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
-    index = build_index(targets, bands=bands, bits=bits, seed=seed)
+    index = build_index(targets, seed=seed)
     pairs = [
         (source.video_id, target_id, pct)
         for source in sources
@@ -176,8 +163,8 @@ def dedup_report(
         params={
             "tau": tau,
             "threshold_pct": threshold_pct,
-            "bands": float(bands),
-            "bits": float(bits),
+            "bands": float(index.bands),
+            "bits": float(index.bits),
             "seed": float(seed),
         },
     )

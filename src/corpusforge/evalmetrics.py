@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 from ._lazy import np
-from .netops import softmax
 from .records import LabelSpace, ValidationError, VideoRecord, assign_label, matches_by_video
 
 
@@ -52,22 +51,15 @@ def uniform_clip_starts(
     return [int(math.floor(i * span / (n_clips - 1) + 0.5)) for i in range(n_clips)]
 
 
-def video_prediction(
-    clip_logits: list[np.ndarray] | np.ndarray, average_probs: bool = False
-) -> np.ndarray:
-    """Element-wise mean of per-clip prediction vectors.
-
-    Logits are averaged as given; ``average_probs`` applies a softmax to each
-    clip first and averages probabilities instead.
-    """
+def video_prediction(clip_logits: list[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Element-wise mean of per-clip prediction vectors, averaged as given
+    (pass softmaxed vectors to average probabilities instead of logits)."""
     arrs = [np.asarray(v, dtype=np.float64) for v in clip_logits]
     if not arrs:
         raise ValidationError("no clip predictions")
     dim = arrs[0].shape
     if any(a.shape != dim for a in arrs):
         raise ValidationError("ragged clip predictions")
-    if average_probs:
-        arrs = [softmax(a, axis=None) for a in arrs]
     return np.mean(np.stack(arrs), axis=0)
 
 

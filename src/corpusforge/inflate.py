@@ -12,7 +12,7 @@ built and every layer computes only the slices the next one reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._lazy import np
 from .netops import (
@@ -23,7 +23,6 @@ from .netops import (
     NetSpec,
     ReluLayer,
     SoftmaxLayer,
-    conv3d_forward,
     same_padding,
 )
 from .records import ValidationError
@@ -96,15 +95,10 @@ def _forward_time_slice(net3d: NetSpec, x3d: np.ndarray) -> np.ndarray:
     ``left + right + 1`` slices (:func:`_time_margins`) leaves a single slice
     after the last conv; global pooling, or the returned output, reads it.
     """
-    out = np.asarray(x3d, dtype=np.float64)
-    pooled = False
-    for layer in net3d.layers:
-        if isinstance(layer, Conv3dLayer):
-            out = conv3d_forward(out, layer.weights, layer.bias, layer.stride, layer.same_pad,
-                                 time_same_pad=False)
-        else:
-            pooled = pooled or isinstance(layer, GlobalAvgPoolLayer)
-            out = layer.forward(out)
+    valid = NetSpec([replace(l, time_same_pad=False) if isinstance(l, Conv3dLayer) else l
+                     for l in net3d.layers])
+    out = valid.forward(x3d)
+    pooled = any(isinstance(l, GlobalAvgPoolLayer) for l in net3d.layers)
     return out if pooled else out[:, 0]
 
 

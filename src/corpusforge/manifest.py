@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .records import ValidationError, VideoRecord, read_lines, read_object, write_file
 
@@ -66,14 +66,7 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in u64")
-        seen: set[tuple[str, float]] = set()
-        for row in self.rows:
-            key = (row.video_id, row.clip_start_s)
-            if key in seen:
-                raise ValidationError(
-                    f"duplicate row (video {row.video_id!r}, start {row.clip_start_s})"
-                )
-            seen.add(key)
+        _check_unique_rows(self.rows, lambda i: "")
 
     def validate_against(self, corpus: Sequence[VideoRecord]) -> None:
         """Check that every row fits inside its referenced video, up to the
@@ -89,6 +82,19 @@ class DatasetManifest:
                     f"[{row.clip_start_s}, {row.clip_start_s + row.clip_len_s}] "
                     f"exceeds duration {video.duration_s}"
                 )
+
+
+def _check_unique_rows(rows: Sequence[ManifestRow], where: Callable[[int], str]) -> None:
+    """No two rows share (video_id, clip_start_s); the error names the second
+    one, prefixed with ``where(its index)``."""
+    seen: set[tuple[str, float]] = set()
+    for i, row in enumerate(rows):
+        key = (row.video_id, row.clip_start_s)
+        if key in seen:
+            raise ValidationError(
+                f"{where(i)}duplicate row (video {row.video_id!r}, start {row.clip_start_s})"
+            )
+        seen.add(key)
 
 
 def _header_line(m: DatasetManifest) -> str:
@@ -143,9 +149,11 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not isinstance(provenance, dict):
         raise ValidationError(f"{path}:1: provenance must be a JSON object")
     rows: list[ManifestRow] = []
+    linenos: list[int] = []
     for lineno, line in lines:
         if not line.strip():
             continue
+        linenos.append(lineno)
         obj = read_object(line, f"{path}:{lineno}", _ROW_FIELDS, _ROW_FIELDS)
         try:
             rows.append(
@@ -158,7 +166,5 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        return DatasetManifest(rows=rows, provenance=provenance, seed=seed)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    _check_unique_rows(rows, lambda i: f"{path}:{linenos[i]}: ")
+    return DatasetManifest(rows=rows, provenance=provenance, seed=seed)

@@ -22,10 +22,10 @@ from .records import ValidationError, read_json, read_object, write_file
 from .tensor import load_weights, save_weights
 
 
-def softmax(z: np.ndarray, axis: int | None) -> np.ndarray:
-    """Max-shifted softmax along ``axis`` (None: over the whole array)."""
-    e = np.exp(z - z.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax along axis 0."""
+    e = np.exp(z - z.max(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
 
 
 def same_padding(kernel: int) -> tuple[int, int]:
@@ -153,7 +153,7 @@ class DenseLayer:
 @dataclass
 class SoftmaxLayer:
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return softmax(x, axis=0)
+        return softmax(x)
 
 
 Layer = Union[Conv2dLayer, Conv3dLayer, ReluLayer, GlobalAvgPoolLayer, DenseLayer, SoftmaxLayer]
@@ -241,6 +241,7 @@ _LAYER_KINDS: dict[str, type] = {
     "softmax": SoftmaxLayer,
 }
 _KIND_OF = {cls: kind for kind, cls in _LAYER_KINDS.items()}
+_NET_FIELDS = frozenset({"format", "layers"})
 
 
 def save_net(net: NetSpec, path: str | Path) -> None:
@@ -299,7 +300,8 @@ def load_net(path: str | Path) -> NetSpec:
     obj = read_json(path)
     if not isinstance(obj, dict) or obj.get("format") != NET_FORMAT_TAG:
         raise ValidationError(f"{path}: expected a {NET_FORMAT_TAG} JSON object")
-    if not isinstance(obj.get("layers"), list):
+    read_object(obj, str(path), _NET_FIELDS, _NET_FIELDS)
+    if not isinstance(obj["layers"], list):
         raise ValidationError(f"{path}: layers must be a list")
     layers = [_load_layer(path, i, entry) for i, entry in enumerate(obj["layers"])]
     try:

@@ -21,7 +21,6 @@ cosine above 0.99 (checked in the test suite against the exact oracle).
 from __future__ import annotations
 
 import math
-from itertools import permutations
 
 from ._lazy import np
 from .census import FrameVideo
@@ -56,8 +55,6 @@ def _build_ramp_family() -> np.ndarray:
 
 RAMP_FAMILY = _build_ramp_family()
 
-_TILE_PERMUTATIONS = list(permutations(range(9)))
-
 
 def ramp_frame(member: int, side: int = 112) -> np.ndarray:
     """Band-ramp frame for one family member, values in [0, 255]."""
@@ -80,9 +77,19 @@ def ramp_frame(member: int, side: int = 112) -> np.ndarray:
     return np.clip(img, 0.0, 255.0)
 
 
+def _tile_permutation(tile_id: int) -> list[int]:
+    """Permutation number ``tile_id`` mod 9! of range(9) in lexicographic
+    order, read off its factorial-base digits: no table of all 9! is built."""
+    index, rest, perm = tile_id % math.factorial(9), list(range(9)), []
+    for place in range(8, -1, -1):
+        digit, index = divmod(index, math.factorial(place))
+        perm.append(rest.pop(digit))
+    return perm
+
+
 def tile_frame(tile_id: int, side: int = 112) -> np.ndarray:
     """Periodic 3x3-permutation texture, values in [10, 250]."""
-    perm = _TILE_PERMUTATIONS[tile_id % len(_TILE_PERMUTATIONS)]
+    perm = _tile_permutation(tile_id)
     tile = (10.0 + 30.0 * np.asarray(perm, dtype=np.float64)).reshape(3, 3)
     reps = side // 3 + 2
     return np.tile(tile, (reps, reps))[:side, :side]

@@ -121,12 +121,10 @@ def _count_quotas(sizes: dict[str, int], count: int) -> dict[str, int]:
     quotas = {label: math.floor(x) for label, x in raw.items()}
     short = count - sum(quotas.values())
     order = sorted(sizes, key=lambda l: (-(raw[l] - quotas[l]), l))
+    # with count < total every share count*n/total is below its pool size n, so
+    # a quota rounded up still fits; with count == total no share is rounded up
     for label in order[:short]:
-        if quotas[label] < sizes[label]:
-            quotas[label] += 1
-        else:
-            fallback = next(l for l in order if quotas[l] < sizes[l])
-            quotas[fallback] += 1
+        quotas[label] += 1
     return quotas
 
 

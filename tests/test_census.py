@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
 import struct
+import subprocess
+import sys
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from corpusforge.census import (
     to_grayscale,
 )
 from corpusforge.records import ValidationError
-from corpusforge.synth import ramp_frame, ramp_video
+from corpusforge.synth import ramp_frame, ramp_video, tile_frame
 
 from oracles import CENSUS_OFFSETS, census_codes_oracle, census_signature_oracle, cosine_oracle
 
@@ -415,3 +419,22 @@ def test_raw_frames_load_as_uint8(tmp_path):
     loaded = load_raw_frames(path)
     assert loaded.frames.dtype == np.uint8
     assert np.array_equal(loaded.frames, np.clip(np.rint(video.frames), 0, 255))
+
+
+@pytest.mark.parametrize("tile_id", [0, 1, 362879, 362880])
+def test_tile_frame_is_the_lexicographic_permutation(tile_id):
+    perm = next(islice(permutations(range(9)), tile_id % math.factorial(9), None))
+    tile = (10.0 + 30.0 * np.array(perm, dtype=np.float64)).reshape(3, 3)
+    assert np.array_equal(tile_frame(tile_id, side=6), np.tile(tile, (2, 2)))
+
+
+def test_importing_synth_holds_no_permutation_table():
+    # numpy is imported first, so the figure is what synth itself holds; a
+    # table of all 9! permutations held 42.7 MiB
+    code = ("import numpy, tracemalloc; tracemalloc.start(); import corpusforge.synth; "
+            "print(tracemalloc.get_traced_memory()[0])")
+    src = os.path.dirname(os.path.dirname(census.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * 2**20

@@ -341,6 +341,10 @@ _DEEP = "[" * 100_000  # nested deeper than the JSON decoder recurses
         (_NET_ARGV, "net.json", '{"format":"corpusforge-net-v1","layers":[{"kind":"relu"}]}', "2D conv"),
         (["probe", "train", "--features", "{bad}"], "f.cfft", struct.pack("<4sII", b"CFFT", 0, 3), "no samples"),
         (["probe", "eval", "--model", "{bad}"], "probe.npz", b"garbage", "not a probe model"),
+        (_NET_ARGV, "net.json", '{"format":"corpusforge-net-v1","layers":[],"comment":1}', ": unknown fields ['comment']"),
+        (["manifest", "validate", "{bad}"], "m.jsonl",
+         '{"format":"corpusforge-manifest-v1"}\n' + 2 * '{"video_id":"a","label":"x","clip_start_s":0,"clip_len_s":1}\n',
+         ":3: duplicate row (video 'a', start 0.0)"),
         pytest.param(["sample", "--labelspace", "{bad}"], "space.json", _DEEP, "bad JSON", id="deep-space"),
         pytest.param(["manifest", "validate", "{bad}"], "m.jsonl", _DEEP, ":1: bad JSON", id="deep-manifest"),
         pytest.param(["sample", "--corpus", "{bad}"], "c.jsonl", _DEEP, ":1: bad JSON", id="deep-corpus"),

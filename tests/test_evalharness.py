@@ -17,6 +17,7 @@ from corpusforge.evalmetrics import (
     video_prediction,
 )
 from corpusforge import probe
+from corpusforge.netops import softmax
 from corpusforge.probe import (
     ProbeMode,
     ProbeWork,
@@ -196,7 +197,7 @@ def test_video_prediction_scale_invariant_argmax():
 
 def test_video_prediction_probability_averaging():
     clips = [np.array([2.0, 0.0]), np.array([0.0, 2.0])]
-    probs = video_prediction(clips, average_probs=True)
+    probs = video_prediction([softmax(c) for c in clips])
     assert np.allclose(probs, [0.5, 0.5])
     assert abs(probs.sum() - 1.0) < 1e-12
 

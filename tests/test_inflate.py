@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpusforge import inflate as inflate_module
+from corpusforge import netops
 from corpusforge.inflate import (
     _forward_time_slice,
     _time_margins,
@@ -273,14 +274,14 @@ def test_each_inflated_conv_computes_only_the_slices_the_next_one_reads(monkeypa
     rng = np.random.default_rng(12)
     net = _three_conv_net(rng, (3, 4, 4, 4))
     time_lengths = []
-    conv3d = inflate_module.conv3d_forward
+    conv3d = netops.conv3d_forward
 
     def counted(*args, **kwargs):
         out = conv3d(*args, **kwargs)
         time_lengths.append(out.shape[1])
         return out
 
-    monkeypatch.setattr(inflate_module, "conv3d_forward", counted)
+    monkeypatch.setattr(netops, "conv3d_forward", counted)
     assert inflation_equivalence(net, 5, rng.standard_normal((3, 8, 8))).ok
     assert time_lengths == [9, 5, 1]
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from corpusforge.manifest import manifest_bytes
@@ -10,6 +12,7 @@ from corpusforge.temporal import (
     BudgetMode,
     BudgetPlan,
     LengthClass,
+    _count_quotas,
     build_length_class,
     center_window,
     class_clip,
@@ -129,6 +132,18 @@ def test_f1_preserves_label_proportions():
     assert sum(got.values()) == 35
     for label, total in (("A", 40), ("B", 20), ("C", 10)):
         assert abs(got[label] - 35 * total / 70) <= 1.0
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=1, max_size=30), st.floats(0.0, 1.0))
+def test_count_quotas_sum_to_count_and_stay_within_one_of_the_share(pool_sizes, fraction):
+    sizes = {f"l{i}": n for i, n in enumerate(pool_sizes)}
+    total = sum(pool_sizes)
+    count = round(fraction * total)
+    quotas = _count_quotas(sizes, count)
+    assert sum(quotas.values()) == count
+    for label, n in sizes.items():
+        assert 0 <= quotas[label] <= n
+        assert abs(quotas[label] - count * n / total) < 1
 
 
 def test_f2_duration_bounds():
