@@ -13,7 +13,6 @@ Subsystems:
 """
 
 from .records import (
-    LabelHistogram,
     LabelKind,
     LabelSpace,
     ValidationError,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DatasetManifest",
-    "LabelHistogram",
     "LabelKind",
     "LabelSpace",
     "ManifestRow",

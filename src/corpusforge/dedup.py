@@ -11,7 +11,6 @@ low-precision, high-recall rule.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -148,9 +147,10 @@ def dedup_report(
 ) -> OverlapReport:
     """Measure every source against an LSH index of all targets, built with
     the default 16 bands x 8 bits and hyperplanes seeded by ``seed``."""
-    for name, value in (("tau", tau), ("threshold_pct", threshold_pct)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value}")
+    if not -1.0 <= tau <= 1.0:
+        raise ValidationError(f"tau must be finite and in [-1, 1], got {tau}")
+    if not 0.0 <= threshold_pct <= 100.0:
+        raise ValidationError(f"threshold_pct must be finite and in [0, 100], got {threshold_pct}")
     index = build_index(targets, seed=seed)
     pairs = [
         (source.video_id, target_id, pct)

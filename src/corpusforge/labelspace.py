@@ -224,8 +224,6 @@ def build_label_space(
     """
     if not seeds:
         raise ValidationError("no seeds given")
-    if min_count < 1:
-        raise ValidationError("min_count must be >= 1")
     entries = {}
     for seed in seeds:
         tags = relevant_hashtags(seed, all_orders=all_orders)
@@ -233,8 +231,8 @@ def build_label_space(
             raise ValidationError(f"duplicate seed label {seed.text!r}")
         entries[seed.text] = frozenset(tags)
     candidate = LabelSpace(name=name, kind=kind, entries=entries, min_count=min_count)
-    hist = label_histogram(corpus, candidate)
-    kept = {l: entries[l] for l in entries if hist.counts[l] >= min_count}
+    counts = label_histogram(corpus, candidate)
+    kept = {l: entries[l] for l in entries if counts[l] >= min_count}
     if not kept:
         raise ValidationError(
             f"empty label space: no label matched >= {min_count} videos"

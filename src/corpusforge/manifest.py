@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .records import ValidationError, VideoRecord, read_lines, read_object, write_file
+from .rng import check_seed
 
 FORMAT_TAG = "corpusforge-manifest-v1"
 
@@ -64,8 +65,7 @@ class DatasetManifest:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in u64")
+        check_seed(self.seed)
         _check_unique_rows(self.rows, lambda i: "")
 
     def validate_against(self, corpus: Sequence[VideoRecord]) -> None:
@@ -143,8 +143,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if header["format"] != FORMAT_TAG:
         raise ValidationError(f"{path}:1: unsupported format {header['format']!r}")
     seed = header.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ValidationError(f"{path}:1: seed must be an integer in [0, 2**64), got {seed!r}")
+    check_seed(seed, f"{path}:1: ")
     provenance = header.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ValidationError(f"{path}:1: provenance must be a JSON object")

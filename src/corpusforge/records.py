@@ -13,7 +13,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
@@ -165,24 +165,8 @@ class LabelSpace:
         object.__setattr__(self, "entries", frozen)
 
 
-@dataclass
-class LabelHistogram:
-    """Videos-per-label counts; multi-label videos count toward every match."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for label, n in self.counts.items():
-            if n < 0:
-                raise ValidationError(f"negative count for label {label!r}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def label_histogram(corpus: list[VideoRecord], space: LabelSpace) -> LabelHistogram:
-    """Count matched videos per label over a corpus.
+def label_histogram(corpus: list[VideoRecord], space: LabelSpace) -> dict[str, int]:
+    """Matched videos per label over a corpus, in label-space order.
 
     A video whose hashtags intersect several labels' sets contributes one
     count to each of them.
@@ -190,7 +174,7 @@ def label_histogram(corpus: list[VideoRecord], space: LabelSpace) -> LabelHistog
     if not corpus:
         raise ValidationError("corpus is empty")
     tally = Counter(chain.from_iterable(matches_by_video(corpus, space).values()))
-    return LabelHistogram({label: tally[label] for label in space.entries})
+    return {label: tally[label] for label in space.entries}
 
 
 def matches_by_video(

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from ._lazy import np
 from .manifest import DatasetManifest, ManifestRow
 from .records import (
-    LabelHistogram,
     LabelSpace,
     ValidationError,
     VideoRecord,
     assigned_pools,
     matches_by_video,
 )
-from .rng import make_rng
+from .rng import check_seed, make_rng
 
 
 class Strategy(enum.Enum):
@@ -49,11 +48,12 @@ class SamplingPlan:
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValidationError("budget must be >= 1")
+        check_seed(self.seed)
 
 
-def sqrt_weights(hist: LabelHistogram) -> dict[str, float]:
+def sqrt_weights(counts: dict[str, int]) -> dict[str, float]:
     """Per-label draw probabilities proportional to sqrt(count)."""
-    roots = {label: math.sqrt(n) for label, n in hist.counts.items()}
+    roots = {label: math.sqrt(n) for label, n in counts.items()}
     total = sum(roots.values())
     if total <= 0:
         raise ValidationError("all-zero histogram")
@@ -97,8 +97,6 @@ def sample_square_root(
     without replacement within the chosen label.  A video matching several
     labels sits in every pool and is removed from all of them once taken.
     """
-    if plan.strategy is not Strategy.SQUARE_ROOT:
-        raise ValidationError("plan.strategy must be SQUARE_ROOT")
     labels_of = matches_by_video(corpus, space)
     if not labels_of:
         raise ValidationError("no video matches any label")
@@ -112,9 +110,7 @@ def sample_square_root(
         raise ValidationError(
             f"budget {plan.budget} exceeds matchable corpus size {len(labels_of)}"
         )
-    weights = sqrt_weights(
-        LabelHistogram({label: len(videos) for label, videos in pools.items()})
-    )
+    weights = sqrt_weights({label: len(videos) for label, videos in pools.items()})
     # swap-with-last removal keeps every draw O(1); pos tracks pool indices
     pos = {label: {v.id: i for i, v in enumerate(videos)} for label, videos in pools.items()}
 
@@ -189,8 +185,6 @@ def sample_tail_preserving(
     corpus: list[VideoRecord], space: LabelSpace, plan: SamplingPlan
 ) -> DatasetManifest:
     """Keep all videos of rare labels, subsample frequent ones to a budget."""
-    if plan.strategy is not Strategy.TAIL_PRESERVING:
-        raise ValidationError("plan.strategy must be TAIL_PRESERVING")
     pools = assigned_pools(corpus, space, plan.seed)
     if not pools:
         raise ValidationError("no video matches any label")

@@ -4,12 +4,12 @@ Length classes partition a corpus by duration: short videos (1-5 s), long
 videos (55-60 s), and long-center, the long videos restricted to a 4 s
 window centered at mid-duration (a 60 s video yields the 28-32 s window).
 
-Budget planners build a manifest from a length-class subset under either a
-fixed video count (the per-label distribution is preserved to within one
-video per label) or a fixed total duration (round-robin label-stratified
-fill, stopping before the budget is exceeded).  Videos whose hashtags match
-no label are skipped, as in sampling; the fixed count is checked against the
-matched videos.
+Budget planners filter a corpus to one length class and build a manifest
+from it under either a fixed video count (the per-label distribution is
+preserved to within one video per label) or a fixed total duration
+(round-robin label-stratified fill, stopping before the budget is exceeded).
+Videos whose hashtags match no label are skipped, as in sampling; the fixed
+count is checked against the matched videos.
 """
 from __future__ import annotations
 
@@ -129,23 +129,19 @@ def _count_quotas(sizes: dict[str, int], count: int) -> dict[str, int]:
 
 
 def plan_budget(
-    subset: list[VideoRecord],
+    corpus: list[VideoRecord],
     plan: BudgetPlan,
     space: LabelSpace,
     seed: int,
 ) -> DatasetManifest:
-    """Select videos from a length-class subset under a budget.
+    """Select videos of the plan's length class under a budget.
 
-    Fixed count: exactly ``count`` videos, label proportions preserved to
-    within one video per label.  Fixed duration: labels are filled round-robin
-    (ascending count order) until the next video would exceed the budget.
+    Videos outside the class are skipped.  Fixed count: exactly ``count``
+    videos, label proportions preserved to within one video per label.  Fixed
+    duration: labels are filled round-robin (ascending count order) until the
+    next video would exceed the budget.
     """
-    for video in subset:
-        if not in_length_class(video.duration_s, plan.length_class):
-            raise ValidationError(
-                f"video {video.id!r} ({video.duration_s}s) outside class "
-                f"{plan.length_class.value}"
-            )
+    subset = build_length_class(corpus, plan.length_class)
     pools = assigned_pools(subset, space, seed)
     if not pools:
         raise ValidationError("no video in the subset matches any label")

@@ -428,8 +428,8 @@ def one_line_error_inputs(pipeline_files):
 
 _ONE_LINE_ERRORS = {
     "probe": "error: non-finite loss at iteration 1",
-    "tau": "error: tau must be finite, got nan",
-    "threshold": "error: threshold_pct must be finite, got nan",
+    "tau": "error: tau must be finite and in [-1, 1], got nan",
+    "threshold": "error: threshold_pct must be finite and in [0, 100], got nan",
     "select": "error: fixed-duration plan needs finite total_minutes > 0",
 }
 
@@ -482,7 +482,7 @@ def test_module_entry_point_rejects_out_of_range_numbers_in_one_line(tmp_path, c
 @pytest.mark.parametrize("flag, value, message", [
     ("--size", "-1", "error: size must be >= 1, got -1"),
     ("--size", "0", "error: size must be >= 1, got 0"),
-    ("--seed", "-1", "error: seed must be >= 0, got -1"),
+    ("--seed", "-1", "error: seed must be an integer in [0, 2**64), got -1"),
 ])
 def test_verify_inflation_rejects_a_bad_size_or_seed_in_one_line(tmp_path, flag, value, message):
     net = tmp_path / "net2d.json"
@@ -492,3 +492,43 @@ def test_verify_inflation_rejects_a_bad_size_or_seed_in_one_line(tmp_path, flag,
     proc = subprocess.run([sys.executable, "-m", "corpusforge.cli", "verify-inflation", "--net", str(net),
                            "--k", "3", flag, value], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr.splitlines(), proc.stdout) == (2, [message], "")
+
+
+_SEED_RULE = "error: seed must be an integer in [0, 2**64), got "
+
+
+@pytest.mark.parametrize("case, extra, message", [
+    ("dedup", ["--seed", "-1"], _SEED_RULE + "-1"),
+    ("dedup", ["--seed", str(2**64)], _SEED_RULE + str(2**64)),
+    ("dedup", ["--tau", "-5"], "error: tau must be finite and in [-1, 1], got -5.0"),
+    ("dedup", ["--tau", "1.5"], "error: tau must be finite and in [-1, 1], got 1.5"),
+    ("dedup", ["--threshold", "500"], "error: threshold_pct must be finite and in [0, 100], got 500.0"),
+    ("dedup", ["--threshold", "-1"], "error: threshold_pct must be finite and in [0, 100], got -1.0"),
+    ("sample", ["--seed", "-1"], _SEED_RULE + "-1"),
+    ("select", ["--mode", "f1"], "error: fixed-count plan needs count >= 1"),
+    ("select", ["--mode", "f2"], "error: fixed-duration plan needs finite total_minutes > 0"),
+], ids=["dedup-seed-neg", "dedup-seed-2**64", "tau-neg", "tau-above-1", "threshold-above-100",
+        "threshold-neg", "sample-seed-neg", "select-f1-no-count", "select-f2-no-minutes"])
+def test_cli_out_of_range_seed_tau_threshold_or_budget_is_one_line_error(
+    pipeline_files, capsys, monkeypatch, case, extra, message
+):
+    tmp_path, corpus_path, _seeds_path = pipeline_files
+    space_path, out = tmp_path / "space.json", tmp_path / "out"
+    space_path.write_text(json.dumps(_SPACE))
+    videos = tmp_path / "videos"
+    videos.mkdir()
+    save_raw_frames(ramp_video("orig", list(range(4))), videos / "orig.cfvd")
+    corpus_args = ["--corpus", str(corpus_path), "--labelspace", str(space_path), "-o", str(out)]
+    argv = {
+        "dedup": ["dedup", "--sources", str(videos), "--targets", str(videos), "-o", str(out)],
+        "sample": ["sample", "--strategy", "sqrt", "--budget", "5", *corpus_args],
+        "select": ["select", "--class", "short", *corpus_args],
+    }[case]
+
+    def no_sampling(*args):
+        raise AssertionError("sampling ran")
+
+    monkeypatch.setattr("corpusforge.cli.sample", no_sampling)  # a bad seed fails before any draw
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()

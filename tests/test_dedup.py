@@ -191,6 +191,22 @@ def test_dedup_report_rejects_non_finite_tau_and_threshold(name, value):
         dedup_report(sources, sources, **{name: value})
 
 
+@pytest.mark.parametrize("name, value", [("tau", -5.0), ("tau", 1.5), ("threshold_pct", -1.0),
+                                         ("threshold_pct", 500.0)])
+def test_dedup_report_rejects_out_of_range_tau_and_threshold(name, value):
+    # tau -5 pairs every frame, threshold 500 flags nothing
+    sources = [decode_frames(ramp_video("dup", list(range(4))))]
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite and in \[.*\], got {value}$"):
+        dedup_report(sources, sources, **{name: value})
+
+
+def test_dedup_report_accepts_the_range_ends():
+    sources = [decode_frames(ramp_video("dup", list(range(4))))]
+    for tau, threshold_pct in [(-1.0, 0.0), (1.0, 100.0)]:
+        report = dedup_report(sources, sources, tau=tau, threshold_pct=threshold_pct)
+        assert (report.params["tau"], report.params["threshold_pct"]) == (tau, threshold_pct)
+
+
 def test_dedup_report_recall_on_injected_duplicates():
     # 2 of 12 sources are rescaled, half-length copies of targets
     targets = [ramp_video(f"t{i}", [(5 * i + k) % 40 for k in range(16)]) for i in range(4)]

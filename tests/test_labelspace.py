@@ -187,8 +187,8 @@ def test_every_retained_label_meets_min_count():
         parse_seed_phrase("lifting/v box/n"),
     ]
     space = build_label_space(seeds, LabelKind.SEED, corpus, min_count=50)
-    hist = label_histogram(corpus, space)
-    assert all(hist.counts[l] >= 50 for l in space.entries)
+    counts = label_histogram(corpus, space)
+    assert all(counts[l] >= 50 for l in space.entries)
 
 
 def test_hashtag_matching_is_lowercase_exact():

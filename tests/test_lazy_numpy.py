@@ -113,7 +113,7 @@ def test_sample_executes_numpy_and_writes_the_pinned_bytes(tmp_path):
 
 def test_a_later_plain_numpy_import_returns_the_bound_module(tmp_path):
     code = ("import corpusforge.cli, corpusforge.rng\nimport numpy\n"
-            "assert numpy is corpusforge.rng.np is corpusforge.cli.np\n"
+            "assert numpy is corpusforge.rng.np is corpusforge.sampling.np\n"
             "assert numpy.arange(3).sum() == 3\n")
     proc = _run(tmp_path, code)
     assert proc.returncode == 0, proc.stderr

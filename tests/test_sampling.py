@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from corpusforge import records
 from corpusforge.manifest import ManifestRow, manifest_bytes
 from corpusforge.records import (
-    LabelHistogram,
     LabelKind,
     LabelSpace,
     ValidationError,
@@ -34,22 +34,38 @@ from corpusforge.sampling import (
 from conftest import corpus_with_counts
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, np.int64(3)])
+def test_make_rng_and_sampling_plan_reject_seeds_outside_u64(seed):
+    message = "^" + re.escape(f"seed must be an integer in [0, 2**64), got {seed!r}") + "$"
+    with pytest.raises(ValidationError, match=message):
+        make_rng(seed)
+    with pytest.raises(ValidationError, match=message):
+        make_rng(seed, "assign", "v")
+    with pytest.raises(ValidationError, match=message):
+        SamplingPlan(Strategy.RANDOM, budget=1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_make_rng_without_keys_is_numpys_default_stream(seed):
+    assert make_rng(seed).random(4).tolist() == np.random.default_rng(seed).random(4).tolist()
+
+
 def test_sqrt_weights_forced_values():
-    w = sqrt_weights(LabelHistogram({"A": 100, "B": 25, "C": 4}))
+    w = sqrt_weights({"A": 100, "B": 25, "C": 4})
     assert w == pytest.approx({"A": 10 / 17, "B": 5 / 17, "C": 2 / 17})
 
 
 def test_sqrt_weights_symmetry_and_single():
-    w = sqrt_weights(LabelHistogram({"A": 7, "B": 7, "C": 7, "D": 7}))
+    w = sqrt_weights({"A": 7, "B": 7, "C": 7, "D": 7})
     assert all(v == pytest.approx(0.25) for v in w.values())
-    assert sqrt_weights(LabelHistogram({"A": 1})) == {"A": 1.0}
+    assert sqrt_weights({"A": 1}) == {"A": 1.0}
 
 
 def test_sqrt_weights_zero_label_and_error():
-    w = sqrt_weights(LabelHistogram({"A": 4, "B": 0}))
+    w = sqrt_weights({"A": 4, "B": 0})
     assert w["B"] == 0.0
     with pytest.raises(ValidationError):
-        sqrt_weights(LabelHistogram({"A": 0}))
+        sqrt_weights({"A": 0})
 
 
 def test_sqrt_weights_sum_to_one():
@@ -57,7 +73,7 @@ def test_sqrt_weights_sum_to_one():
     for _ in range(25):
         counts = {f"l{i}": int(rng.integers(0, 500)) for i in range(12)}
         counts["l0"] = max(counts["l0"], 1)
-        total = sum(sqrt_weights(LabelHistogram(counts)).values())
+        total = sum(sqrt_weights(counts).values())
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -259,9 +275,7 @@ def _reference_sqrt_rows(corpus, space, plan):
         for label in labels_of.get(video.id, ()):
             pools[label].append(video)
     pools = {label: videos for label, videos in pools.items() if videos}
-    weights = sqrt_weights(
-        LabelHistogram({label: len(videos) for label, videos in pools.items()})
-    )
+    weights = sqrt_weights({label: len(videos) for label, videos in pools.items()})
     pos = {label: {v.id: i for i, v in enumerate(videos)} for label, videos in pools.items()}
 
     def _remove(label, video_id):

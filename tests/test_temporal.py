@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from corpusforge.manifest import manifest_bytes
-from corpusforge.records import ValidationError, VideoRecord
+from corpusforge.records import LabelKind, LabelSpace, ValidationError, VideoRecord
 from corpusforge.temporal import (
     BudgetMode,
     BudgetPlan,
@@ -227,11 +227,63 @@ def test_unmatched_videos_are_skipped():
         plan_budget([stranger], plan, space, seed=5)
 
 
-def test_plan_rejects_out_of_class_videos():
-    corpus, space = corpus_with_counts({"A": 3}, duration_s=30.0)
-    plan = BudgetPlan(BudgetMode.FIXED_COUNT, LengthClass.SHORT, count=2)
-    with pytest.raises(ValidationError, match="outside class"):
-        plan_budget(corpus, plan, space, seed=0)
+def test_plan_skips_out_of_class_videos():
+    short, space = corpus_with_counts({"A": 4, "B": 2}, duration_s=3.0)
+    middle = [VideoRecord(id=f"a-mid{i}", duration_s=30.0, hashtags=frozenset({"a"})) for i in range(3)]
+    long_ = [VideoRecord(id=f"b-long{i}", duration_s=58.0, hashtags=frozenset({"b"})) for i in range(2)]
+    mixed = middle[:1] + short[:3] + long_ + short[3:] + middle[1:]
+    plan = BudgetPlan(BudgetMode.FIXED_COUNT, LengthClass.SHORT, count=6)
+    assert manifest_bytes(plan_budget(mixed, plan, space, seed=0)) == manifest_bytes(
+        plan_budget(short, plan, space, seed=0)
+    )
+    with pytest.raises(ValidationError, match="no video in class short"):
+        plan_budget(middle + long_, plan, space, seed=0)
+
+
+_DURATIONS = st.sampled_from([1.0, 2.5, 5.0, 5.5, 30.0, 54.9, 55.0, 57.3, 60.0])
+_TAGS = st.frozensets(st.sampled_from(["a", "b", "c", "noise"]), max_size=3)
+
+
+@st.composite
+def _mixed_corpus(draw) -> list[VideoRecord]:
+    n = draw(st.integers(1, 25))
+    return [
+        VideoRecord(id=f"v{i:02d}", duration_s=draw(_DURATIONS), hashtags=draw(_TAGS))
+        for i in range(n)
+    ]
+
+
+def _plan_outcome(corpus, plan, space, seed) -> bytes | str:
+    try:
+        return manifest_bytes(plan_budget(corpus, plan, space, seed))
+    except ValidationError as exc:
+        return str(exc)
+
+
+@given(
+    _mixed_corpus(),
+    st.sampled_from(list(LengthClass)),
+    st.integers(1, 12),
+    st.sampled_from([0.05, 0.2, 1.0, 3.0]),
+    st.integers(0, 2**64 - 1),
+)
+def test_plan_on_a_corpus_equals_plan_on_its_length_class(corpus, cls, count, minutes, seed):
+    space = LabelSpace(
+        name="mixed",
+        kind=LabelKind.SEED,
+        entries={"A": frozenset({"a"}), "B": frozenset({"b"}), "C": frozenset({"b", "c"})},
+        min_count=1,
+    )
+    for plan in [
+        BudgetPlan(BudgetMode.FIXED_COUNT, cls, count=count),
+        BudgetPlan(BudgetMode.FIXED_DURATION, cls, total_minutes=minutes),
+    ]:
+        try:
+            subset = build_length_class(corpus, cls)
+        except ValidationError as exc:  # no video in the class: the plan fails the same way
+            assert _plan_outcome(corpus, plan, space, seed) == str(exc)
+            continue
+        assert _plan_outcome(corpus, plan, space, seed) == _plan_outcome(subset, plan, space, seed)
 
 
 def test_budget_plan_validation():
