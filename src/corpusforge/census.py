@@ -33,7 +33,7 @@ SIGNATURE_DIM = 64
 DEFAULT_FPS = 16.0
 DEFAULT_SIDE = 112
 MAX_DECODED_FRAMES = 2**18  # 4.5 hours at 16 fps; 128 MiB of signatures
-DECODE_BLOCK = 16  # distinct source frames per census_signatures call in decode_frames
+DECODE_BLOCK = 8  # distinct source frames per census_signatures call; ~2 MiB of work arrays at 224 px
 
 # clockwise from top-left: bit i compares neighbor at NEIGHBOR_OFFSETS[i]
 NEIGHBOR_OFFSETS = (

@@ -27,7 +27,6 @@ from .records import (
     load_label_space,
     read_lines,
     save_label_space,
-    write_file,
 )
 from .rng import make_rng
 from .sampling import SamplingPlan, Strategy, sample
@@ -123,19 +122,15 @@ def _video_files(spec: str) -> list[Path]:
 def _cmd_dedup(args: argparse.Namespace) -> int:
     source_files = _video_files(args.sources)
     target_files = _video_files(args.targets)
-    # one raw (uint8) video in memory at a time; only signatures are kept
-    sources = [decode_frames(load_raw_frames(f)) for f in source_files]
-    targets = [decode_frames(load_raw_frames(f)) for f in target_files]
+    # read lazily, one raw (uint8) video at a time, after the arguments pass
     report = dedup_mod.dedup_report(
-        sources,
-        targets,
+        (decode_frames(load_raw_frames(f)) for f in source_files),
+        (decode_frames(load_raw_frames(f)) for f in target_files),
         tau=args.tau,
         threshold_pct=args.threshold,
         seed=args.seed,
     )
     dedup_mod.save_report(report, args.output)
-    kept = dedup_mod.filter_flagged([s.video_id for s in sources], report)
-    write_file(Path(args.output) / "kept_sources.txt", ("\n".join(kept) + "\n").encode("utf-8"))
     print(
         f"wrote {args.output}: {len(report.pairs)} overlapping pairs, "
         f"{len(report.flagged_sources())} sources flagged"

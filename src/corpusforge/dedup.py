@@ -1,7 +1,7 @@
 """Near-duplicate detection: LSH frame matching and overlap reports.
 
 Frames are matched by cosine similarity of their census signatures.  A
-random-hyperplane LSH index (b bands of r sign bits each) prunes the
+random-hyperplane LSH index (16 bands of 8 sign bits each) prunes the
 candidate set; candidates are then verified with the exact cosine.  The
 overlap of a source video against a target is the percentage of source
 frames with at least one matching target frame, and sources whose overlap
@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ._lazy import np
 from .census import SIGNATURE_DIM, SignatureSequence, cosine
 from .records import ValidationError, write_file
 from .rng import make_rng
 
-DEFAULT_BANDS = 16
-DEFAULT_BITS = 8
+BANDS = 16
+BITS = 8
 DEFAULT_TAU = 0.9
 DEFAULT_THRESHOLD_PCT = 20.0
 
@@ -29,10 +29,10 @@ DEFAULT_THRESHOLD_PCT = 20.0
 class LshIndex:
     """Random-hyperplane LSH over 64-dim signatures.
 
-    Each band hashes a vector to r sign bits (dot product against r random
-    unit hyperplanes).  The index keeps one row per stored frame: its
-    signature in an (n, 64) array and its b band keys in an (n, b) array.
-    Similar vectors share a band key with probability (1 - theta/pi)^r per
+    Each of the BANDS bands hashes a vector to BITS sign bits (dot products
+    with random unit hyperplanes).  The index keeps one row per stored frame:
+    its signature in an (n, 64) array and its band keys in an (n, BANDS) one.
+    Similar vectors share a band key with probability (1 - theta/pi)^BITS per
     band; the candidates of a query are the rows sharing at least one key.
 
     Build is single-writer.  The first query after an insert stacks the new
@@ -40,30 +40,26 @@ class LshIndex:
     concurrently.
     """
 
-    def __init__(self, bands: int = DEFAULT_BANDS, bits: int = DEFAULT_BITS, seed: int = 0) -> None:
-        if bands < 1 or bits < 1:
-            raise ValidationError("bands and bits must be >= 1")
-        self.bands = bands
-        self.bits = bits
-        rng = make_rng(seed, "lsh-planes")
-        planes = rng.standard_normal((bands * bits, SIGNATURE_DIM))
+    def __init__(self, seed: int = 0) -> None:
+        rng = make_rng(seed, "lsh-planes")  # checks the seed
+        planes = rng.standard_normal((BANDS * BITS, SIGNATURE_DIM))
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-        self.planes = planes.reshape(bands, bits, SIGNATURE_DIM)
+        self.planes = planes.reshape(BANDS, BITS, SIGNATURE_DIM)
         self._entries: list[tuple[str, int]] = []
         self._vectors = np.empty((0, SIGNATURE_DIM), dtype=np.float64)
-        self._keys = np.empty((0, bands), dtype=np.int64)
+        self._keys = np.empty((0, BANDS), dtype=np.int64)
         # blocks inserted since the last query; stacked once by _stack(), so
         # that n inserts cost one copy of the index, not n
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _band_keys(self, vectors: np.ndarray) -> np.ndarray:
-        """(n, bands) r-bit keys of the rows of an (n, 64) array."""
+        """(n, BANDS) BITS-bit keys of the rows of an (n, 64) array."""
         bits = (vectors @ self.planes.reshape(-1, SIGNATURE_DIM).T) > 0.0
-        weights = 1 << np.arange(self.bits, dtype=np.int64)
-        return bits.reshape(len(vectors), self.bands, self.bits) @ weights
+        weights = 1 << np.arange(BITS, dtype=np.int64)
+        return bits.reshape(len(vectors), BANDS, BITS) @ weights
 
     def keys(self, vector: np.ndarray) -> np.ndarray:
-        """The b band keys of a vector (r-bit integers)."""
+        """The BANDS band keys of a vector (BITS-bit integers)."""
         v = np.asarray(vector, dtype=np.float64)
         return self._band_keys(v[None, :])[0]
 
@@ -120,6 +116,7 @@ def overlap(
 @dataclass
 class OverlapReport:
     pairs: list[tuple[str, str, float]]  # (source_id, target_id, overlap_pct)
+    sources: list[str]  # every source measured, in order
     threshold_pct: float = DEFAULT_THRESHOLD_PCT
     params: dict[str, float] = field(default_factory=dict)
 
@@ -139,47 +136,41 @@ class OverlapReport:
 
 
 def dedup_report(
-    sources: Sequence[SignatureSequence],
-    targets: Sequence[SignatureSequence],
+    sources: Iterable[SignatureSequence],
+    targets: Iterable[SignatureSequence],
     tau: float = DEFAULT_TAU,
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
     seed: int = 0,
 ) -> OverlapReport:
-    """Measure every source against an LSH index of all targets, built with
-    the default 16 bands x 8 bits and hyperplanes seeded by ``seed``."""
+    """Measure every source against an LSH index of all targets, with
+    hyperplanes seeded by ``seed``.  No iterable is read before the checks
+    pass; then each target and each source is read once, in that order."""
     if not -1.0 <= tau <= 1.0:
         raise ValidationError(f"tau must be finite and in [-1, 1], got {tau}")
     if not 0.0 <= threshold_pct <= 100.0:
         raise ValidationError(f"threshold_pct must be finite and in [0, 100], got {threshold_pct}")
     index = build_index(targets, seed=seed)
-    pairs = [
-        (source.video_id, target_id, pct)
-        for source in sources
-        for target_id, pct in overlap(source, index, tau)
-    ]
+    pairs, source_ids = [], []
+    for source in sources:  # a source's signatures are dropped once measured
+        source_ids.append(source.video_id)
+        pairs += [(source.video_id, target, pct) for target, pct in overlap(source, index, tau)]
     return OverlapReport(
         pairs=pairs,
+        sources=source_ids,
         threshold_pct=threshold_pct,
         params={
             "tau": tau,
             "threshold_pct": threshold_pct,
-            "bands": float(index.bands),
-            "bits": float(index.bits),
+            "bands": float(BANDS),
+            "bits": float(BITS),
             "seed": float(seed),
         },
     )
 
 
-def filter_flagged(
-    source_ids: Iterable[str], report: OverlapReport
-) -> list[str]:
-    """Source ids that survive deduplication (flagged ones excluded)."""
-    flagged = report.flagged_sources()
-    return [sid for sid in source_ids if sid not in flagged]
-
-
 def save_report(report: OverlapReport, out_dir: str | Path) -> None:
-    """Write pairs JSONL plus a summary JSON with params and flag count."""
+    """Write pairs JSONL, a summary JSON with params and flag count, and the
+    ids of the sources that survive (flagged ones excluded), in source order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pairs = (
@@ -191,10 +182,13 @@ def save_report(report: OverlapReport, out_dir: str | Path) -> None:
         for source_id, target_id, pct in report.pairs
     )
     write_file(out / "overlap_pairs.jsonl", "".join(pairs).encode("utf-8"))
+    flagged = report.flagged_sources()
     doc = {
         "params": report.params,
         "num_pairs": len(report.pairs),
         "num_flagged_pairs": len(report.flagged),
-        "flagged_sources": sorted(report.flagged_sources()),
+        "flagged_sources": sorted(flagged),
     }
     write_file(out / "summary.json", (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
+    kept = [sid for sid in report.sources if sid not in flagged]
+    write_file(out / "kept_sources.txt", ("\n".join(kept) + "\n").encode("utf-8"))

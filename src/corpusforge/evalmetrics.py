@@ -72,11 +72,10 @@ def accuracy_topk(preds: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     y = np.asarray(labels, dtype=np.int64)
     if scores.ndim != 2 or scores.shape[0] != y.shape[0]:
         raise ValidationError(f"preds {scores.shape} do not align with labels {y.shape}")
-    n, classes = scores.shape
+    classes = scores.shape[1]
     if not 1 <= k <= classes:
         raise ValidationError(f"k={k} out of range 1..{classes}")
-    # lexsort: primary key -score, secondary key class index
-    order = np.lexsort((np.tile(np.arange(classes), (n, 1)), -scores), axis=1)
+    order = np.argsort(-scores, axis=1, kind="stable")  # stable: ties keep class order
     hits = (order[:, :k] == y[:, None]).any(axis=1)
     return float(hits.mean())
 
@@ -89,7 +88,7 @@ def average_precision(scores: np.ndarray, truth: np.ndarray) -> float | None:
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(truth)
-    order = np.lexsort((np.arange(len(s)), -s))
+    order = np.argsort(-s, kind="stable")  # stable: ties keep sample order
     positives = t[order] > 0
     num_pos = int(positives.sum())
     if num_pos == 0:

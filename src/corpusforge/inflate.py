@@ -15,16 +15,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .netops import (
-    Conv2dLayer,
-    Conv3dLayer,
-    DenseLayer,
-    GlobalAvgPoolLayer,
-    NetSpec,
-    ReluLayer,
-    SoftmaxLayer,
-    same_padding,
-)
+from .netops import Conv2dLayer, Conv3dLayer, DenseLayer, GlobalAvgPoolLayer, NetSpec, same_padding
 from .records import ValidationError
 
 
@@ -46,7 +37,7 @@ def inflate(weights2d: np.ndarray, k: int, normalize: bool = True) -> np.ndarray
 
 
 def inflate_net(net2d: NetSpec, k: int, normalize: bool = True) -> NetSpec:
-    """Inflate every 2D conv; pooling becomes spatio-temporal, dense copies.
+    """Inflate every 2D conv; every other layer is reused as is.
 
     Inflated convs use same-padding in time so the layer count and the
     temporal length are both preserved.
@@ -54,27 +45,12 @@ def inflate_net(net2d: NetSpec, k: int, normalize: bool = True) -> NetSpec:
     _check_extent(k)  # also for a net without convs, where inflate() never runs
     layers = []
     for layer in net2d.layers:
-        if isinstance(layer, Conv2dLayer):
-            layers.append(
-                Conv3dLayer(
-                    weights=inflate(layer.weights, k, normalize=normalize),
-                    bias=None if layer.bias is None else np.array(layer.bias, dtype=np.float64),
-                    stride=layer.stride,
-                    same_pad=layer.same_pad,
-                    time_same_pad=True,
-                )
-            )
-        elif isinstance(layer, (ReluLayer, GlobalAvgPoolLayer, SoftmaxLayer)):
-            layers.append(type(layer)())
-        elif isinstance(layer, DenseLayer):
-            layers.append(
-                DenseLayer(
-                    weights=np.array(layer.weights, dtype=np.float64),
-                    bias=None if layer.bias is None else np.array(layer.bias, dtype=np.float64),
-                )
-            )
-        else:
+        if isinstance(layer, Conv3dLayer):
             raise ValidationError(f"cannot inflate layer {type(layer).__name__}")
+        if isinstance(layer, Conv2dLayer):
+            layer = Conv3dLayer(inflate(layer.weights, k, normalize), layer.bias, layer.stride,
+                                layer.same_pad, time_same_pad=True)
+        layers.append(layer)
     return NetSpec(layers)
 
 

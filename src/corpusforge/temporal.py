@@ -56,9 +56,13 @@ class BudgetPlan:
         if self.mode is BudgetMode.FIXED_COUNT:
             if self.count is None or self.count < 1:
                 raise ValidationError("fixed-count plan needs count >= 1")
+            if self.total_minutes is not None:
+                raise ValidationError("fixed-count plan takes no total_minutes")
         else:
             if self.total_minutes is None or not 0 < self.total_minutes < math.inf:
                 raise ValidationError("fixed-duration plan needs finite total_minutes > 0")
+            if self.count is not None:
+                raise ValidationError("fixed-duration plan takes no count")
 
 
 def jitter_clip(

@@ -507,8 +507,11 @@ _SEED_RULE = "error: seed must be an integer in [0, 2**64), got "
     ("sample", ["--seed", "-1"], _SEED_RULE + "-1"),
     ("select", ["--mode", "f1"], "error: fixed-count plan needs count >= 1"),
     ("select", ["--mode", "f2"], "error: fixed-duration plan needs finite total_minutes > 0"),
+    ("select", ["--mode", "f1", "--count", "5", "--minutes", "3"], "error: fixed-count plan takes no total_minutes"),
+    ("select", ["--mode", "f2", "--minutes", "3", "--count", "5"], "error: fixed-duration plan takes no count"),
 ], ids=["dedup-seed-neg", "dedup-seed-2**64", "tau-neg", "tau-above-1", "threshold-above-100",
-        "threshold-neg", "sample-seed-neg", "select-f1-no-count", "select-f2-no-minutes"])
+        "threshold-neg", "sample-seed-neg", "select-f1-no-count", "select-f2-no-minutes",
+        "select-f1-with-minutes", "select-f2-with-count"])
 def test_cli_out_of_range_seed_tau_threshold_or_budget_is_one_line_error(
     pipeline_files, capsys, monkeypatch, case, extra, message
 ):
@@ -528,7 +531,12 @@ def test_cli_out_of_range_seed_tau_threshold_or_budget_is_one_line_error(
     def no_sampling(*args):
         raise AssertionError("sampling ran")
 
+    def no_reading(*args):
+        raise AssertionError("a video was read")
+
     monkeypatch.setattr("corpusforge.cli.sample", no_sampling)  # a bad seed fails before any draw
+    monkeypatch.setattr("corpusforge.cli.load_raw_frames", no_reading)  # and before any video is read
     assert main(argv + extra) == 2
-    assert capsys.readouterr().err.splitlines() == [message]
+    captured = capsys.readouterr()
+    assert (captured.err.splitlines(), captured.out) == ([message], "")
     assert not out.exists()

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from corpusforge.census import SignatureSequence, cosine, decode_frames
 from corpusforge.dedup import (
+    BANDS,
+    BITS,
     LshIndex,
     build_index,
     dedup_report,
-    filter_flagged,
     overlap,
     save_report,
 )
@@ -70,9 +71,9 @@ def test_band_collision_probability_for_dissimilar_vectors():
     for u, v in pairs:
         ku, kv = index.keys(u), index.keys(v)
         collisions += sum(1 for a, b in zip(ku, kv) if a == b)
-        trials += index.bands
+        trials += BANDS
         theta = math.acos(max(-1.0, min(1.0, cosine(u, v))))
-        analytic += (1.0 - theta / math.pi) ** index.bits
+        analytic += (1.0 - theta / math.pi) ** BITS
     rate = collisions / trials
     bound = analytic / len(pairs)
     assert rate <= 0.05
@@ -221,13 +222,13 @@ def test_dedup_report_recall_on_injected_duplicates():
     )
     flagged = report.flagged_sources()
     assert {"dup0", "dup1"} <= flagged
-    kept = filter_flagged([v.video_id for v in sources], report)
-    assert set(kept) == {f"noise{i}" for i in range(10)}
+    kept = [sid for sid in report.sources if sid not in flagged]
+    assert kept == [f"noise{i}" for i in range(10)]
 
 
 def test_report_serialization(tmp_path):
     members = list(range(10))
-    sources = [decode_frames(ramp_video("dup", members))]
+    sources = [decode_frames(ramp_video("dup", members)), decode_frames(tile_video("clean", list(range(8))))]
     targets = [decode_frames(ramp_video("orig", members))]
     report = dedup_report(sources, targets)
     save_report(report, tmp_path / "report")
@@ -235,6 +236,26 @@ def test_report_serialization(tmp_path):
     assert len(pairs) == 1 and '"overlap_pct": 100.0' in pairs[0]
     summary = (tmp_path / "report" / "summary.json").read_text()
     assert '"num_flagged_pairs": 1' in summary
+    assert (tmp_path / "report" / "kept_sources.txt").read_bytes() == b"clean\n"
+    report.pairs = []  # nothing flagged: every source is kept, in source order
+    save_report(report, tmp_path / "report")
+    assert (tmp_path / "report" / "kept_sources.txt").read_bytes() == b"dup\nclean\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["ramp", "tile"]), st.integers(0, 30), st.integers(1, 6)),
+                min_size=1, max_size=5),
+       st.integers(0, 2**64 - 1))
+def test_dedup_report_reads_generators_once_and_lists_every_source(specs, seed):
+    make = {"ramp": ramp_video, "tile": tile_video}
+    videos = [make[kind](f"v{i}", list(range(start, start + n))) for i, (kind, start, n) in enumerate(specs)]
+    sigs = [decode_frames(v) for v in videos]
+    sources, targets = sigs, sigs[::2]
+    expected = dedup_report(sources, targets, seed=seed)
+    report = dedup_report((s for s in sources), (t for t in targets), seed=seed)
+    assert (report.pairs, report.sources, report.params) == (expected.pairs, expected.sources, expected.params)
+    assert report.sources == [s.video_id for s in sources]  # sources with no pair too
+    assert {s for s, _t, _p in report.pairs} <= set(report.sources)
 
 
 def test_overlap_rejects_empty_source():
@@ -272,18 +293,17 @@ class _DictTableIndex:
     """The per-band dict-table index with per-pair cosine verification that
     LshIndex replaced; kept as the reference its results must equal."""
 
-    def __init__(self, bands: int, bits: int, seed: int, dim: int = 64) -> None:
-        self.bands, self.bits = bands, bits
-        planes = make_rng(seed, "lsh-planes").standard_normal((bands * bits, dim))
+    def __init__(self, seed: int, dim: int = 64) -> None:
+        planes = make_rng(seed, "lsh-planes").standard_normal((BANDS * BITS, dim))
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-        self.planes = planes.reshape(bands, bits, dim)
-        self._tables: list[dict[int, list[int]]] = [{} for _ in range(bands)]
+        self.planes = planes.reshape(BANDS, BITS, dim)
+        self._tables: list[dict[int, list[int]]] = [{} for _ in range(BANDS)]
         self._entries: list[tuple[str, int]] = []
         self._vectors: list[np.ndarray] = []
 
     def keys(self, vector: np.ndarray) -> list[int]:
         bits = (self.planes @ np.asarray(vector, dtype=np.float64)) > 0.0
-        weights = 1 << np.arange(self.bits)
+        weights = 1 << np.arange(BITS)
         return [int(b @ weights) for b in bits]
 
     def insert(self, sig: SignatureSequence) -> None:
@@ -319,15 +339,13 @@ def _census_like(rng: np.random.Generator, n: int, density: float) -> np.ndarray
     st.integers(0, 2**32 - 1),
     st.integers(0, 2**64 - 1),
     st.lists(st.integers(1, 12), min_size=1, max_size=5),
-    st.sampled_from([(16, 8), (4, 4), (2, 1), (1, 12)]),
     st.sampled_from([0.1, 0.5, 1.0]),
 )
-def test_index_equals_dict_table_reference(data_seed, index_seed, sizes, shape, density):
+def test_index_equals_dict_table_reference(data_seed, index_seed, sizes, density):
     rng = np.random.default_rng(data_seed)
-    bands, bits = shape
     sigs = [_sig(f"v{i}", _census_like(rng, n, density)) for i, n in enumerate(sizes)]
-    index = LshIndex(bands=bands, bits=bits, seed=index_seed)
-    reference = _DictTableIndex(bands, bits, index_seed)
+    index = LshIndex(seed=index_seed)
+    reference = _DictTableIndex(index_seed)
     fresh = _sig("q", _census_like(rng, 4, density)).frames
     for sig in sigs:
         index.insert(sig)

@@ -609,6 +609,29 @@ def test_topk_matches_oracle():
             )
 
 
+_TIE_PRONE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_stable_argsort_ranks_like_the_lexsort_reference(n, classes, data):
+    # the lexsort form (primary key -score, secondary key index) is the reference
+    scores = np.array(data.draw(st.lists(_TIE_PRONE, min_size=n * classes, max_size=n * classes)),
+                      dtype=np.float64).reshape(n, classes)
+    labels = np.array(data.draw(st.lists(st.integers(0, classes - 1), min_size=n, max_size=n)))
+    order = np.lexsort((np.tile(np.arange(classes), (n, 1)), -scores), axis=1)
+    for k in range(1, classes + 1):
+        assert accuracy_topk(scores, labels, k) == float((order[:, :k] == labels[:, None]).any(axis=1).mean())
+    for column in scores.T:
+        positives = (labels == labels[0])[np.lexsort((np.arange(n), -column))]
+        ranks = np.arange(1, n + 1)
+        want = float(np.sum(np.cumsum(positives)[positives] / ranks[positives]) / positives.sum())
+        assert average_precision(column, labels == labels[0]) == want
+
+
 def test_topk_k_out_of_range():
     with pytest.raises(ValidationError):
         accuracy_topk(np.zeros((2, 3)), np.zeros(2, dtype=int), 4)

@@ -134,6 +134,12 @@ def test_inflate_net_structure_preserved():
     assert kinds3d == [k.replace("Conv2d", "Conv3d") for k in kinds2d]
 
 
+def test_inflate_net_rejects_a_3d_net():
+    net3d = NetSpec([Conv3dLayer(np.ones((1, 1, 3, 3, 3))), ReluLayer()])
+    with pytest.raises(ValidationError, match="^cannot inflate layer Conv3dLayer$"):
+        inflate_net(net3d, 3)
+
+
 def test_equivalence_k1_zero_deviation():
     rng = np.random.default_rng(3)
     net = random_2d_net(rng, depth=2)
