@@ -7,6 +7,7 @@ inflation, FCN transform, LR schedules, probes, and clip planning.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from .evalmetrics import accuracy_topk, mean_average_precision, uniform_clip_sta
 from .inflate import fcn_transform, inflate, inflation_equivalence, inflate_net
 from .labelspace import PosHint, build_label_space, load_seed_file, verbnoun_seeds
 from .manifest import load_manifest, save_manifest
-from .netops import load_net, save_net
+from .netops import check_elements, load_net, save_net
 from .probe import ProbeMode, load_features, load_probe, save_probe, train_probe
 from .records import (
     LabelKind,
@@ -159,6 +160,7 @@ def _cmd_verify_inflation(args: argparse.Namespace) -> int:
     if not net.is_2d():
         raise ValidationError(f"{args.net}: verify-inflation needs a net of 2D conv layers")
     channels = net.conv_layers()[0].weights.shape[1]
+    check_elements(channels * args.size * args.size, "input")
     x2d = make_rng(args.seed).standard_normal((channels, args.size, args.size))
     result = inflation_equivalence(net, args.k, x2d, tol=args.tol)
     status = "OK" if result.ok else "FAIL"
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--mode", required=True, choices=[m.value for m in ProbeMode])
     pt.add_argument("--l2", type=float, default=1e-4)
     pt.add_argument("--iters", type=int, default=1000)
-    pt.add_argument("--step", type=float, default=1.0)
+    pt.add_argument("--step", type=float, help="gradient step (default: 1/L from the features)")
     pt.add_argument("-o", "--output", required=True, help="model path (.npz archive)")
     pt.set_defaults(func=_cmd_probe_train)
     pe = pr_sub.add_parser("eval")
@@ -344,11 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # one command makes few reference cycles; the cyclic collector would only
+    # rescan its many long-lived objects, so pause it and restore the caller's state
+    gc_was_on = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,15 @@ import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .netops import Conv2dLayer, Conv3dLayer, DenseLayer, GlobalAvgPoolLayer, NetSpec, same_padding
+from .netops import (
+    Conv2dLayer,
+    Conv3dLayer,
+    DenseLayer,
+    GlobalAvgPoolLayer,
+    NetSpec,
+    check_elements,
+    same_padding,
+)
 from .records import ValidationError
 
 
@@ -30,6 +38,7 @@ def inflate(weights2d: np.ndarray, k: int, normalize: bool = True) -> np.ndarray
     if w.ndim != 4:
         raise ValidationError(f"expected (out,in,h,w) weights, got {w.shape}")
     _check_extent(k)
+    check_elements(w.size * int(k), "inflated weights")
     out = np.repeat(w[:, :, None, :, :], k, axis=2)
     if normalize:
         out = out / k
@@ -43,6 +52,7 @@ def inflate_net(net2d: NetSpec, k: int, normalize: bool = True) -> NetSpec:
     temporal length are both preserved.
     """
     _check_extent(k)  # also for a net without convs, where inflate() never runs
+    check_elements(sum(np.size(l.weights) for l in net2d.conv_layers()) * int(k), "inflated weights")
     layers = []
     for layer in net2d.layers:
         if isinstance(layer, Conv3dLayer):
@@ -109,6 +119,7 @@ def inflation_equivalence(
         raise ValidationError("inflation_equivalence expects a 2D conv net")
     net3d = inflate_net(net2d, k, normalize=normalize)
     left, right = _time_margins(net3d)
+    check_elements(x2d.size * (left + right + 1), "time slices of the input")
     x3d = np.repeat(x2d[:, None, :, :], left + right + 1, axis=1)
     got = _forward_time_slice(net3d, x3d)
     want = net2d.forward(x2d)

@@ -13,6 +13,7 @@ as a JSON file referencing one WTSR weight file per parameter tensor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Union
@@ -20,6 +21,15 @@ from typing import Union
 from ._lazy import np
 from .records import ValidationError, read_json, read_object, write_file
 from .tensor import load_weights, save_weights
+
+
+MAX_ELEMENTS = 2**24  # 128 MiB of float64: the largest array a conv or an inflation builds
+
+
+def check_elements(count: int, what: str) -> None:
+    """Reject an array of ``count`` elements over MAX_ELEMENTS before it is allocated."""
+    if count > MAX_ELEMENTS:
+        raise ValidationError(f"{what}: {count} elements, over the {MAX_ELEMENTS} limit")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -59,6 +69,7 @@ def _conv(name: str, x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None
         raise ValidationError(f"input {x.shape} smaller than kernel {kernel}")
     windows = np.lib.stride_tricks.sliding_window_view(x, kernel, axis=tuple(range(1, rank + 1)))
     windows = windows[(slice(None),) * (rank - 1) + (slice(None, None, stride),) * 2]
+    check_elements(math.prod(windows.shape), f"{name} input windows")  # einsum copies them
     at, taps = "tij"[-rank:], "khw"[-rank:]  # output positions, kernel taps
     out = np.einsum(f"c{at}{taps},oc{taps}->o{at}", windows, w, optimize=True)
     if bias is not None:

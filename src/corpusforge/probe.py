@@ -1,12 +1,18 @@
 """Linear probes over frozen features.
 
-A probe is an L2-regularized logistic model trained with full-batch gradient
-descent from zero init: softmax + cross-entropy for multi-class targets,
-independent per-label sigmoids + logistic loss for multi-label targets.  The
-regularizer applies to the weights only.  Training is deterministic for a
-given numpy/BLAS build and thread count.  It computes every gradient step in
-work arrays allocated once per training run (:class:`ProbeWork`), so no step
-allocates fresh ``(n, classes)`` temporaries.
+A probe is an L2-regularized logistic model: softmax + cross-entropy for
+multi-class targets, independent per-label sigmoids + logistic loss for
+multi-label targets.  The regularizer applies to the weights only.  For
+``l2_lambda > 0`` the loss is strongly convex in the weights, so training
+reports where it bottoms out, not where a step count ends: full-batch
+Nesterov accelerated gradient (Nesterov 1983) from zero init, with step 1/L
+for a bound L on the gradient's Lipschitz constant, momentum restarted
+whenever the gradient points against the last step (O'Donoghue & Candès
+2015), and a stop once the gradient norm has fallen by GRAD_TOL; ``iters``
+only caps the steps.  Training is deterministic for a given numpy/BLAS build
+and thread count.  It computes every gradient in work arrays allocated once
+per training run (:class:`ProbeWork`), so no step allocates fresh
+``(n, classes)`` temporaries.
 
 Feature files ("CFFT", little-endian):
   magic "CFFT", u32 n, u32 d, n*d f32 row-major features, then labels --
@@ -29,6 +35,7 @@ from .records import ValidationError, read_exact, write_file
 
 _CFFT_MAGIC = b"CFFT"
 _CFFT_HEADER = struct.Struct("<4sII")
+GRAD_TOL = 1e-4  # training stops once the gradient norm is this fraction of its value at zero
 
 
 class ProbeMode(enum.Enum):
@@ -64,8 +71,11 @@ class ProbeWork:
         self.z, self.e, self.delta, self.tmp = (np.empty((n, classes)) for _ in range(4))
         self.mask = np.empty((n, classes), dtype=bool)
         self.zmax, self.norm = np.empty((n, 1)), np.empty((n, 1))
-        self.grad_w, self.w_tmp = np.empty((classes, dim)), np.empty((classes, dim))
-        self.grad_b = np.empty(classes)
+        self.w_tmp = np.empty((classes, dim))
+        # one flat gradient, so that a trainer can step all parameters at once
+        self.grad = np.empty(classes * (dim + 1))
+        self.grad_w = self.grad[: classes * dim].reshape(classes, dim)
+        self.grad_b = self.grad[classes * dim :]
 
 
 def probe_loss_and_grad(
@@ -137,18 +147,44 @@ def probe_loss_and_grad(
     return loss, grad_w, grad_b
 
 
+def _lipschitz_step(x: np.ndarray, mode: ProbeMode, l2_lambda: float) -> float:
+    """1/L for L = lambda_max([x, 1]^T [x, 1] / n) * c + 2 * l2_lambda, which
+    bounds the gradient's Lipschitz constant: the loss Hessian w.r.t. one
+    sample's logits is at most c = 1/2 (softmax) or 1/4 (sigmoid) times I."""
+    n, d = x.shape
+    gram = np.empty((d + 1, d + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(x.T, x, out=gram[:d, :d])
+        np.sum(x, axis=0, out=gram[:d, d])
+    gram[d, :d] = gram[:d, d]
+    gram[d, d] = n
+    if not np.all(np.isfinite(gram)):
+        raise ValidationError("features too large: their Gram matrix overflows float64")
+    curvature = 0.5 if mode is ProbeMode.SOFTMAX_MULTICLASS else 0.25
+    return 1.0 / (float(np.linalg.eigvalsh(gram / n)[-1]) * curvature + 2.0 * l2_lambda)
+
+
 def train_probe(
     features: np.ndarray,
     targets: np.ndarray,
     mode: ProbeMode = ProbeMode.SOFTMAX_MULTICLASS,
     l2_lambda: float = 1e-4,
     iters: int = 1000,
-    step: float = 1.0,
+    step: float | None = None,
 ) -> ProbeModel:
-    """Full-batch gradient descent from zero init; deterministic for a given
-    numpy/BLAS build and thread count.  Every iteration computes in one
-    :class:`ProbeWork` allocated here."""
-    if not step > 0:
+    """Nesterov's accelerated gradient from zero init, with adaptive restart.
+
+    The step is ``step``, or 1/L when it is None (see :func:`_lipschitz_step`).
+    Momentum restarts whenever the gradient points against the last step.
+    Training stops at the first point whose gradient norm over (weights,
+    bias) is at most GRAD_TOL times the norm at zero init, or once ``iters``
+    steps are taken, and returns the model and loss at that point.  Every
+    gradient is one call of :func:`probe_loss_and_grad` with one
+    :class:`ProbeWork`, so there are at most ``iters + 1`` calls.  A
+    non-finite loss or gradient norm raises.  Deterministic for a given
+    numpy/BLAS build and thread count.
+    """
+    if step is not None and not step > 0:
         raise ValidationError(f"step must be > 0, got {step}")
     if not l2_lambda >= 0:
         raise ValidationError(f"l2_lambda must be >= 0, got {l2_lambda}")
@@ -171,21 +207,36 @@ def train_probe(
         classes = t.shape[1]
     if x.shape[0] < classes:
         raise ValidationError(f"need >= {classes} samples, got {x.shape[0]}")
-    weights = np.zeros((classes, x.shape[1]))
-    bias = np.zeros(classes)
+    if step is None:
+        step = _lipschitz_step(x, mode, l2_lambda)
     work = ProbeWork(x.shape[0], classes, x.shape[1])
-    # overflow shows up as a non-finite loss, which is checked every iteration
+    # (weights, bias) flattened like work.grad: y is where the gradient is
+    # taken, prev the last gradient step's result, delta the step between them
+    y, prev, delta = np.zeros_like(work.grad), np.zeros_like(work.grad), np.empty_like(work.grad)
+    weights = y[: classes * x.shape[1]].reshape(classes, x.shape[1])
+    bias = y[classes * x.shape[1] :]
+    theta = 1.0
+    # overflow shows up as a non-finite loss or gradient, checked every iteration
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(iters):
-            loss, grad_w, grad_b = probe_loss_and_grad(
-                weights, bias, x, t, mode, l2_lambda, work=work
-            )
-            if not np.isfinite(loss):
+        for it in range(iters + 1):
+            loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda, work=work)
+            grad = work.grad  # _gw and _gb, as one vector
+            norm = math.sqrt(float(np.dot(grad, grad)))
+            if not (math.isfinite(loss) and math.isfinite(norm)):
                 raise ValidationError(f"non-finite loss at iteration {it}")
-            # the gradients are work views: scale them in place before the next call
-            weights -= np.multiply(grad_w, step, out=grad_w)
-            bias -= np.multiply(grad_b, step, out=grad_b)
-        loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda, work=work)
+            if it == 0:
+                tol = GRAD_TOL * norm
+            if norm <= tol or it == iters:
+                break
+            np.multiply(grad, step, out=grad)  # a work view: scale it in place
+            np.subtract(y, grad, out=y)
+            np.subtract(y, prev, out=delta)
+            prev[...] = y
+            if float(np.dot(grad, delta)) > 0:  # restart: drop the momentum
+                theta = 1.0
+            else:
+                last, theta = theta, (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+                y += np.multiply(delta, (last - 1.0) / theta, out=delta)
     return ProbeModel(
         weights=weights, bias=bias, mode=mode, l2_lambda=l2_lambda, final_loss=loss
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import corpusforge
+from corpusforge import cli, netops
 from corpusforge.census import save_raw_frames
 from corpusforge.cli import main
 from corpusforge.manifest import load_manifest
@@ -22,11 +24,12 @@ from corpusforge.netops import (
     GlobalAvgPoolLayer,
     NetSpec,
     ReluLayer,
+    MAX_ELEMENTS,
     load_net,
     save_net,
 )
 from corpusforge.probe import ProbeMode, save_features
-from corpusforge.records import load_label_space, save_corpus, save_label_space
+from corpusforge.records import ValidationError, load_label_space, save_corpus, save_label_space
 from corpusforge.synth import ramp_video, tile_video
 from corpusforge.tensor import load_weights, save_weights
 
@@ -540,3 +543,71 @@ def test_cli_out_of_range_seed_tau_threshold_or_budget_is_one_line_error(
     captured = capsys.readouterr()
     assert (captured.err.splitlines(), captured.out) == ([message], "")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_runs_the_command_with_gc_off_and_restores_the_callers_gc(monkeypatch, capsys, enabled):
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        if args.frames == 0:
+            raise ValidationError("stop")
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_eval_clips", handler)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["eval", "clips", "--frames", "10", "--clip-len", "2"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["eval", "clips", "--frames", "0", "--clip-len", "2"]) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False, False]
+    assert capsys.readouterr().err == "error: stop\n"
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("allocated before the size check")
+
+
+def _repeat_only_weights(a, repeats, axis):
+    # the weights repeat along their new axis 2; the input's time slices along axis 1
+    assert axis == 2, "time slices allocated before the size check"
+    return np.concatenate([a] * repeats, axis=axis)
+
+
+# (argv, MAX_ELEMENTS for the case, the allocator that must not run and its stand-in, error);
+# the 2-conv net has 756 inflated weights at k=3, its 8x8 input 192 elements
+# and 960 over the 5 time slices that one output position reads
+_OVER_THE_SIZE_LIMIT = {
+    "inflate-net": (["inflate", "--in", "{net}", "--k", "100000", "-o", "{out}"], MAX_ELEMENTS,
+                    (np, "repeat", _boom), f"inflated weights: 25200000 elements, over the {MAX_ELEMENTS} limit"),
+    "inflate-weights": (["inflate", "--in", "{wtsr}", "--k", "1000000", "-o", "{out}"], MAX_ELEMENTS,
+                        (np, "repeat", _boom), f"inflated weights: 108000000 elements, over the {MAX_ELEMENTS} limit"),
+    "verify-size": (["verify-inflation", "--net", "{net}", "--k", "3", "--size", "100000"], MAX_ELEMENTS,
+                    (cli, "make_rng", _boom), f"input: 30000000000 elements, over the {MAX_ELEMENTS} limit"),
+    "verify-k": (["verify-inflation", "--net", "{net}", "--k", "100000", "--size", "8"], MAX_ELEMENTS,
+                 (np, "repeat", _boom), f"inflated weights: 25200000 elements, over the {MAX_ELEMENTS} limit"),
+    "verify-slices": (["verify-inflation", "--net", "{net}", "--k", "3", "--size", "8"], 800,
+                      (np, "repeat", _repeat_only_weights), "time slices of the input: 960 elements, over the 800 limit"),
+    "verify-windows": (["verify-inflation", "--net", "{net}", "--k", "3", "--size", "8"], 1000,
+                       (np, "einsum", _boom), "conv3d input windows: 15552 elements, over the 1000 limit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVER_THE_SIZE_LIMIT))
+def test_cli_inflation_over_the_size_limit_is_one_line_error_before_allocating(tmp_path, monkeypatch, capsys, case):
+    argv, limit, (owner, allocator, stand_in), message = _OVER_THE_SIZE_LIMIT[case]
+    rng = np.random.default_rng(2)
+    net, wtsr, out = tmp_path / "net2d.json", tmp_path / "w2d.wtsr", tmp_path / "out" / "inflated.json"
+    save_net(NetSpec([Conv2dLayer(rng.standard_normal((4, 3, 3, 3)), np.zeros(4), 1, True), ReluLayer(),
+                      Conv2dLayer(rng.standard_normal((4, 4, 3, 3)), np.zeros(4), 1, True)]), net)
+    save_weights(rng.standard_normal((4, 3, 3, 3)), wtsr)
+    out.parent.mkdir()
+    monkeypatch.setattr(netops, "MAX_ELEMENTS", limit)
+    monkeypatch.setattr(owner, allocator, stand_in)
+    assert main([a.format(net=net, wtsr=wtsr, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert list(out.parent.iterdir()) == []
