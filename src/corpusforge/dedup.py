@@ -69,11 +69,22 @@ class LshIndex:
         self._pending.append((sig.frames, self._band_keys(sig.frames)))
 
     def _stack(self) -> None:
-        if self._pending:
-            vectors, keys = zip(*self._pending)
-            self._vectors = np.concatenate((self._vectors, *vectors))
-            self._keys = np.concatenate((self._keys, *keys))
-            self._pending = []
+        """Copy the stacked rows, then each pending block in insert order, into
+        one new array each for vectors and keys, dropping each block once it is
+        copied rather than concatenating while the list holds every block."""
+        if not self._pending:
+            return
+        done = len(self._vectors)
+        vectors = np.empty((len(self._entries), SIGNATURE_DIM), dtype=np.float64)
+        keys = np.empty((len(self._entries), BANDS), dtype=np.int64)
+        vectors[:done], keys[:done] = self._vectors, self._keys
+        self._vectors, self._keys = vectors, keys
+        pending, self._pending = self._pending[::-1], []
+        while pending:
+            block_vectors, block_keys = pending.pop()
+            vectors[done : done + len(block_vectors)] = block_vectors
+            keys[done : done + len(block_keys)] = block_keys
+            done += len(block_vectors)
 
     def __len__(self) -> int:
         return len(self._entries)

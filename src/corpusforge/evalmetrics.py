@@ -4,7 +4,8 @@ from __future__ import annotations
 import math
 
 from ._lazy import np
-from .records import LabelSpace, ValidationError, VideoRecord, assign_label, matches_by_video
+from .netops import check_elements
+from .records import LabelSpace, ValidationError, VideoRecord, assign_labels, matches_by_video
 
 
 def assign_single_label(video: VideoRecord, space: LabelSpace, seed: int) -> str:
@@ -13,10 +14,10 @@ def assign_single_label(video: VideoRecord, space: LabelSpace, seed: int) -> str
     The same seeded draw the samplers and budget planners use, so a video
     gets the same label here as in their manifests.
     """
-    matched = matches_by_video([video], space).get(video.id)
-    if not matched:
+    matched_of = matches_by_video([video], space)
+    if not matched_of:
         raise ValidationError(f"video {video.id!r} matches no label in {space.name!r}")
-    return assign_label(video.id, matched, seed)
+    return assign_labels(matched_of, seed)[video.id]
 
 
 def uniform_clip_starts(
@@ -35,6 +36,7 @@ def uniform_clip_starts(
     """
     if n_clips < 1:
         raise ValidationError("n_clips must be >= 1")
+    check_elements(n_clips, "clip starts")
     if clip_len < 1 or clip_len > num_frames:
         raise ValidationError(
             f"clip_len {clip_len} must be in 1..num_frames ({num_frames})"

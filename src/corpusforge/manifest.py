@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .records import ValidationError, VideoRecord, read_lines, read_object, write_file
+from .records import ValidationError, VideoRecord, read_jsonl, read_lines, read_object, write_file
 from .rng import check_seed
 
 FORMAT_TAG = "corpusforge-manifest-v1"
@@ -32,7 +33,7 @@ def _q(x: float) -> float:
     return 0.0 if v == 0.0 else v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestRow:
     video_id: str
     label: str
@@ -107,9 +108,11 @@ def _header_line(m: DatasetManifest) -> str:
 
 
 def _row_line(row: ManifestRow) -> str:
+    # encode_basestring(s) is json.dumps(s, ensure_ascii=False) for a str,
+    # without building an encoder per call
     return '{"video_id":%s,"label":%s,"clip_start_s":%.6f,"clip_len_s":%.6f}' % (
-        json.dumps(row.video_id, ensure_ascii=False),
-        json.dumps(row.label, ensure_ascii=False),
+        encode_basestring(row.video_id),
+        encode_basestring(row.label),
         row.clip_start_s,
         row.clip_len_s,
     )
@@ -149,11 +152,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise ValidationError(f"{path}:1: provenance must be a JSON object")
     rows: list[ManifestRow] = []
     linenos: list[int] = []
-    for lineno, line in lines:
-        if not line.strip():
-            continue
+    for lineno, obj in read_jsonl(path, lines, _ROW_FIELDS, _ROW_FIELDS):
         linenos.append(lineno)
-        obj = read_object(line, f"{path}:{lineno}", _ROW_FIELDS, _ROW_FIELDS)
         try:
             rows.append(
                 ManifestRow(

@@ -3,7 +3,7 @@
 A corpus is a list of :class:`VideoRecord`.  A :class:`LabelSpace` maps each
 retained label to its set of relevant hashtags; matching between the two is
 exact string equality on lowercased hashtags.  :func:`matches_by_video` is the
-one place that matching happens, and :func:`assign_label` the one seeded draw
+one place that matching happens, and :func:`assign_labels` the one seeded draw
 that collapses a multi-label video to a single label.
 """
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Mapping
 
-from .rng import make_rng
+from .rng import first_integers
 
 
 class ValidationError(ValueError):
@@ -75,6 +75,34 @@ def read_object(source: object, where: str, allowed: frozenset[str], required: f
     return source
 
 
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a value
+
+
+def read_jsonl(
+    path: str | Path, lines: Iterable[tuple[int, str]], allowed: frozenset[str], required: frozenset[str]
+) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, read_object(text, "path:lineno", allowed, required))``
+    for each ``(lineno, text)`` of ``lines`` (a :func:`read_lines` stream, or
+    one with each line stripped) whose text is not blank.
+
+    One decoder's scanner parses each text in place of ``json.loads``; a text
+    it does not take whole as a valid object goes to :func:`read_object`,
+    which raises that text's error as the per-line loop always did."""
+    scan = json.JSONDecoder().scan_once
+    for lineno, text in lines:
+        if not text.strip():
+            continue
+        value = text.strip(_JSON_SPACE)
+        try:
+            obj, end = scan(value, 0)
+        except (StopIteration, ValueError, RecursionError):  # no value, bad JSON, overlong int, deep nesting
+            obj, end = None, -1
+        whole = end == len(value) and type(obj) is dict
+        if not (whole and allowed.issuperset(obj) and obj.keys() >= required):
+            obj = read_object(text, f"{path}:{lineno}", allowed, required)
+        yield lineno, obj
+
+
 def read_exact(fh: BinaryIO, size: int, path: str | Path, what: str) -> bytes:
     """Read ``size`` bytes, or raise ``path: truncated what`` before allocating
     anything when the file holds fewer (a header can claim any size)."""
@@ -86,8 +114,11 @@ def read_exact(fh: BinaryIO, size: int, path: str | Path, what: str) -> bytes:
 def write_file(path: str | Path, data: bytes) -> None:
     """Replace ``path`` (a symlink itself, not its target) with ``data`` via a
     temp file beside it and a rename: readers see the old or the new file,
-    never a part.  No fsync: atomic visibility, not power-loss durability."""
+    never a part.  No fsync: atomic visibility, not power-loss durability.
+    A directory is rejected before the temp file exists."""
     path = Path(path)
+    if path.is_dir() and not path.is_symlink():
+        raise ValidationError(f"{path}: is a directory")
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     fh = open(tmp, "xb")  # outside the try: a temp file this call did not create stays
     try:
@@ -122,7 +153,7 @@ def _hashtag_set(tags: object, owner: str, name: str) -> frozenset[str]:
     return tagset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VideoRecord:
     """One corpus video with its weak supervision (hashtags)."""
 
@@ -199,17 +230,23 @@ def matches_by_video(
     return out
 
 
-def assign_label(video_id: str, matched: list[str], seed: int) -> str:
-    """Collapse a video's sorted matched labels to one, uniformly at random.
+def assign_labels(matched_of: Mapping[str, list[str]], seed: int) -> dict[str, str]:
+    """Collapse each video's sorted matched labels to one, uniformly at random.
 
-    The choice is a pure function of (video id, seed), so a corpus can be
-    assigned in any order or in parallel.  A single match is returned
+    A video's label is ``matched[make_rng(seed, "assign", video_id).integers(n)]``
+    with ``n = len(matched)``: a pure function of (video id, seed), so a corpus
+    can be assigned in any order or in parallel.  The draws of all videos are
+    made in one batch (:func:`first_integers`).  A single match is taken
     without a draw: ``integers(1)`` is always 0.
     """
-    if len(matched) == 1:
-        return matched[0]
-    rng = make_rng(seed, "assign", video_id)
-    return matched[int(rng.integers(len(matched)))]
+    multi = [video_id for video_id, matched in matched_of.items() if len(matched) > 1]
+    picks = first_integers(
+        seed, [("assign", video_id) for video_id in multi], [len(matched_of[v]) for v in multi]
+    )
+    labels = {video_id: matched[0] for video_id, matched in matched_of.items()}
+    for video_id, pick in zip(multi, picks):
+        labels[video_id] = matched_of[video_id][pick]
+    return labels
 
 
 def assigned_pools(
@@ -219,12 +256,12 @@ def assigned_pools(
 
     Videos matching no label are skipped.
     """
-    matched_of = matches_by_video(corpus, space)
+    label_of = assign_labels(matches_by_video(corpus, space), seed)
     pools: dict[str, list[VideoRecord]] = {}
     for video in corpus:
-        matched = matched_of.get(video.id)
-        if matched:
-            pools.setdefault(assign_label(video.id, matched, seed), []).append(video)
+        label = label_of.get(video.id)
+        if label is not None:
+            pools.setdefault(label, []).append(video)
     for videos in pools.values():
         videos.sort(key=lambda v: v.id)
     return pools
@@ -241,11 +278,8 @@ def load_corpus(path: str | Path) -> list[VideoRecord]:
     """Read a corpus JSONL file; duplicate ids are rejected."""
     records: list[VideoRecord] = []
     seen: set[str] = set()
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        obj = read_object(line, f"{path}:{lineno}", _CORPUS_FIELDS, _CORPUS_REQUIRED)
+    lines = ((lineno, line.strip()) for lineno, line in read_lines(path))
+    for lineno, obj in read_jsonl(path, lines, _CORPUS_FIELDS, _CORPUS_REQUIRED):
         try:
             rec = VideoRecord(
                 id=obj["id"],

@@ -133,8 +133,10 @@ def sample_square_root(
         if len(labels) != len(pools):
             labels = sorted(pools)
             total = sum(weights[l] for l in labels)
-            probs = np.array([weights[l] / total for l in labels])
-        label = labels[int(rng.choice(len(labels), p=probs))]
+            cdf = np.array([weights[l] / total for l in labels]).cumsum()
+            cdf /= cdf[-1]
+        # the steps and the stream of rng.choice(len(labels), p=probs)
+        label = labels[int(cdf.searchsorted(rng.random(), side="right"))]
         pool = pools[label]
         video = pool[int(rng.integers(len(pool)))]
         for l in labels_of[video.id]:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .netops import check_elements
 from .records import ValidationError, write_file
 
 DEFAULT_BASE_LR = 0.192
@@ -62,6 +63,7 @@ def lr_schedule(
         raise ValidationError("warmup_iters and num_reductions must be >= 0")
     if total_iters <= warmup_iters:
         raise ValidationError("total_iters must exceed warmup_iters")
+    check_elements(total_iters, "schedule values")
     span = total_iters - warmup_iters
     plateaus = num_reductions + 1
     if span < plateaus:

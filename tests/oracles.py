@@ -169,3 +169,79 @@ def fd_gradient(loss_fn, params: np.ndarray, eps: float = 1e-5) -> np.ndarray:
         down = loss_fn(bumped)
         grad[i] = (up - down) / (2 * eps)
     return grad
+
+
+def load_corpus_per_line(path):
+    """``records.load_corpus`` as a per-line loop: one ``read_object`` (one
+    ``json.loads``) per stripped, non-blank line."""
+    from corpusforge.records import ValidationError, VideoRecord, read_lines, read_object
+
+    fields = frozenset({"id", "duration_s", "hashtags", "frame_rate", "source_uri"})
+    records, seen = [], set()
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        obj = read_object(line, f"{path}:{lineno}", fields, frozenset({"id", "duration_s"}))
+        try:
+            rec = VideoRecord(
+                id=obj["id"],
+                duration_s=float(obj["duration_s"]),
+                hashtags=obj.get("hashtags", ()),
+                frame_rate=float(obj.get("frame_rate", 16.0)),
+                source_uri=obj.get("source_uri"),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if rec.id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate video id {rec.id!r}")
+        seen.add(rec.id)
+        records.append(rec)
+    return records
+
+
+def load_manifest_per_line(path):
+    """``manifest.load_manifest`` as a per-line loop: one ``read_object`` per
+    non-blank row line, as it comes (not stripped)."""
+    from corpusforge.manifest import FORMAT_TAG, DatasetManifest, ManifestRow
+    from corpusforge.records import ValidationError, read_lines, read_object
+    from corpusforge.rng import check_seed
+
+    lines = read_lines(path)
+    _lineno, first = next(lines, (1, None))
+    if first is None:
+        raise ValidationError(f"{path}:1: empty file, expected a manifest header")
+    header = read_object(first, f"{path}:1", frozenset({"format", "seed", "provenance"}), frozenset({"format"}))
+    if header["format"] != FORMAT_TAG:
+        raise ValidationError(f"{path}:1: unsupported format {header['format']!r}")
+    seed = header.get("seed", 0)
+    check_seed(seed, f"{path}:1: ")
+    provenance = header.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValidationError(f"{path}:1: provenance must be a JSON object")
+    fields = frozenset({"video_id", "label", "clip_start_s", "clip_len_s"})
+    rows, linenos = [], []
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        linenos.append(lineno)
+        obj = read_object(line, f"{path}:{lineno}", fields, fields)
+        try:
+            rows.append(
+                ManifestRow(
+                    video_id=obj["video_id"],
+                    label=obj["label"],
+                    clip_start_s=float(obj["clip_start_s"]),
+                    clip_len_s=float(obj["clip_len_s"]),
+                )
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    seen = set()  # duplicates are checked once every row has parsed
+    for i, row in enumerate(rows):
+        if (row.video_id, row.clip_start_s) in seen:
+            raise ValidationError(
+                f"{path}:{linenos[i]}: duplicate row (video {row.video_id!r}, start {row.clip_start_s})"
+            )
+        seen.add((row.video_id, row.clip_start_s))
+    return DatasetManifest(rows=rows, provenance=provenance, seed=seed)

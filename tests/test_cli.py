@@ -611,3 +611,38 @@ def test_cli_inflation_over_the_size_limit_is_one_line_error_before_allocating(t
     assert main([a.format(net=net, wtsr=wtsr, out=out) for a in argv]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert list(out.parent.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["schedule", "--total", "1001", "--warmup", "10", "-o", "{out}"], "schedule values"),
+        (["eval", "clips", "--frames", "100", "--clip-len", "8", "--clips", "1001"], "clip starts"),
+    ],
+)
+def test_cli_schedule_and_clips_over_the_size_limit_are_one_line_errors(tmp_path, monkeypatch, capsys, argv, what):
+    out = tmp_path / "sched.json"
+    monkeypatch.setattr(netops, "MAX_ELEMENTS", 1000)
+    assert main([a.format(out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {what}: 1001 elements, over the 1000 limit"]
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    # the limit itself is allowed
+    assert main([a.format(out=out).replace("1001", "1000") for a in argv]) == 0
+
+
+def test_cli_output_that_is_a_directory_is_one_line_error_before_writing(pipeline_files, capsys):
+    tmp_path, corpus_path, _seeds = pipeline_files
+    space_path = tmp_path / "space.json"
+    save_label_space(corpus_with_counts({"ropejumping": 60, "guitarplaying": 55}, duration_s=4.0)[1], space_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    before = sorted(tmp_path.iterdir())
+    argv = ["schedule", "--total", "100", "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {out}: is a directory"]
+    argv = ["sample", "--strategy", "random", "--budget", "1", "--corpus", str(corpus_path),
+            "--labelspace", str(space_path), "-o", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {out}: is a directory"]
+    assert sorted(tmp_path.iterdir()) == before and list(out.iterdir()) == []

@@ -372,3 +372,11 @@ def test_inserts_stack_once_before_a_query():
     assert len(index) == 15 and len(index._pending) == 5  # nothing stacked per insert
     assert ("v2", 1) in index.match(sigs[2].frames[1], tau=1.0 - 1e-12)
     assert index._pending == [] and index._vectors.shape == (15, 64)
+    # a second round stacks after the rows already stacked, bit for bit
+    sigs += [_sig(f"w{i}", rng.uniform(0.1, 1.0, size=(n, 64))) for i, n in enumerate([4, 0, 1])]
+    for sig in sigs[5:]:
+        index.insert(sig)
+    assert index.candidates(sigs[0].frames[0])[:1] == [0]
+    frames = np.concatenate([sig.frames for sig in sigs])
+    assert index._pending == [] and index._vectors.tobytes() == frames.tobytes()
+    assert index._keys.dtype == np.int64 and index._keys.tobytes() == index._band_keys(frames).tobytes()

@@ -1,0 +1,138 @@
+"""The JSONL reader behind ``load_corpus`` and ``load_manifest``.
+
+Reference: the per-line loops the loaders ran before (one ``json.loads`` per
+line through ``read_object``), kept in ``oracles.py``.  On drawn files the
+loaders return equal records or raise the identical ``ValidationError``.
+"""
+from __future__ import annotations
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from corpusforge.manifest import load_manifest
+from corpusforge.records import ValidationError, load_corpus
+
+# strings JSONL writers leave unescaped (ensure_ascii=False) that str.splitlines()
+# would break at; read_lines must not
+_ODD_TEXT = st.sampled_from(["v1", "v2", "a\u0085b", "\u2028", "x\u2029y", "café", "t"])
+_TEXT = _ODD_TEXT | st.text(max_size=5)
+_NUMBER = (
+    st.floats(1e-3, 1e4)
+    | st.integers(1, 10**6)
+    | st.sampled_from([float("nan"), float("inf"), -1.0, 0.0])
+)
+
+# whole lines that stress the reader: blank or whitespace-only lines, two
+# objects on one line, an object split over two lines, an integer over the
+# 4300-digit conversion limit, a BOM, NaN, and values that are not objects
+_SPECIAL_CORPUS_LINES = [
+    "",
+    " \t",
+    "\x0c",
+    "\u3000",
+    "\u2028",
+    '{"id": "v8", "duration_s": 1.0}{"id": "v9", "duration_s": 2.0}',
+    '{"id": "v7",\n"duration_s": 1.0}',
+    '{"id": "v6", "duration_s": 1' + "0" * 5000 + "}",
+    '{"id": "v5", "duration_s": NaN}',
+    '{"id": "v4", "duration_s": 1e999}',
+    '\ufeff{"id": "v3", "duration_s": 1.0}',
+    "[1, 2]",
+    '"v1"',
+    "{}",
+    "{not json",
+]
+_PADDING = st.sampled_from(["", "", " ", "\t", "\x0c", "\xa0", "\u2028", "\x85", "  "])
+
+
+def _dumps(draw, obj: dict) -> str:
+    return json.dumps(obj, ensure_ascii=draw(st.booleans()))
+
+
+@st.composite
+def _corpus_line(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(_SPECIAL_CORPUS_LINES))
+    obj = draw(
+        st.fixed_dictionaries(
+            {"id": _TEXT, "duration_s": _NUMBER},
+            optional={
+                "hashtags": st.lists(_TEXT, max_size=3) | st.just("x"),
+                "frame_rate": _NUMBER,
+                "source_uri": st.none() | _TEXT,
+                "extra": st.integers(),
+            },
+        )
+    )
+    if draw(st.integers(0, 5)) == 0:
+        obj.pop("duration_s")
+    return draw(_PADDING) + _dumps(draw, obj) + draw(_PADDING)
+
+
+@st.composite
+def _row_line(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(_SPECIAL_CORPUS_LINES))
+    obj = {
+        "video_id": draw(_TEXT | st.integers()),
+        "label": draw(_TEXT),
+        "clip_start_s": draw(_NUMBER | st.sampled_from([0.0, 0.0, "1"])),
+        "clip_len_s": draw(_NUMBER),
+    }
+    if draw(st.integers(0, 5)) == 0:
+        obj[draw(st.sampled_from(["extra", "video_id"]))] = draw(st.integers())
+    return draw(_PADDING) + _dumps(draw, obj) + draw(_PADDING)
+
+
+@st.composite
+def _file(draw, line, first=None):
+    """Lines joined by drawn line ends, sometimes behind a BOM or with bytes
+    that are not UTF-8 in one line."""
+    lines = draw(st.lists(line, max_size=8))
+    if first is not None:
+        lines.insert(0, draw(first))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    parts = [text.encode("utf-8", "surrogatepass") + end.encode() for text, end in zip(lines, ends)]
+    if parts and draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, len(parts) - 1))
+        parts[i] = draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + parts[i]
+    if draw(st.integers(0, 5)) == 0:
+        parts.insert(0, b"\xef\xbb\xbf")
+    return b"".join(parts)
+
+
+def _outcome(load, path):
+    try:
+        return "loaded", load(path)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+_VALID = '{"id": "v1", "duration_s": 2.5, "hashtags": ["a", "B"]}'
+
+
+@settings(max_examples=400, deadline=None)
+@given(_file(_corpus_line()))
+@example(f"{_VALID}\r\n\r\n{_VALID.replace('v1', 'v2')}\r".encode())
+@example(f"{_VALID}\n{_VALID}\n".encode())  # a duplicate id
+def test_corpus_reader_equals_the_per_line_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    path.write_bytes(data)
+    assert _outcome(load_corpus, path) == _outcome(oracles.load_corpus_per_line, path)
+
+
+_HEADER = '{"format":"corpusforge-manifest-v1","seed":3,"provenance":{"a":"b"}}'
+_ROW = '{"video_id":"v1","label":"l","clip_start_s":0.000000,"clip_len_s":1.500000}'
+
+
+@settings(max_examples=400, deadline=None)
+@given(_file(_row_line(), first=st.sampled_from([_HEADER, _HEADER, "", " " + _HEADER, "[1]"])))
+@example(f"{_HEADER}\n{_ROW}\n  \n{_ROW.replace('v1', 'v2')}\n".encode())
+@example(f"{_HEADER}\n{_ROW}\n{_ROW}\n[1]\n".encode())  # a bad row after a duplicate one
+def test_manifest_reader_equals_the_per_line_loop(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
+    path.write_bytes(data)
+    assert _outcome(load_manifest, path) == _outcome(oracles.load_manifest_per_line, path)

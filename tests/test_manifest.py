@@ -342,6 +342,17 @@ def test_manifest_save_load_round_trips_with_stable_bytes(tmp_path_factory, m):
     assert manifest_bytes(loaded) == path.read_bytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.text(), _finite, st.floats(min_value=1e-6, allow_infinity=False))
+def test_row_line_is_the_json_dumps_layout(video_id, label, start, length):
+    row = ManifestRow(video_id, label, start, length)
+    line = manifest_bytes(DatasetManifest(rows=[row])).decode("utf-8").split("\n")[1]
+    assert line == '{"video_id":%s,"label":%s,"clip_start_s":%.6f,"clip_len_s":%.6f}' % (
+        json.dumps(video_id, ensure_ascii=False), json.dumps(label, ensure_ascii=False),
+        row.clip_start_s, row.clip_len_s,
+    )
+
+
 _HEADER = {"format": "corpusforge-manifest-v1", "seed": 0, "provenance": {}}
 
 

@@ -18,7 +18,7 @@ from corpusforge.records import (
     assigned_pools,
     matches_by_video,
 )
-from corpusforge.rng import make_rng
+from corpusforge.rng import first_integers, make_rng
 from corpusforge.sampling import (
     SamplingPlan,
     Strategy,
@@ -41,6 +41,8 @@ def test_make_rng_and_sampling_plan_reject_seeds_outside_u64(seed):
         make_rng(seed)
     with pytest.raises(ValidationError, match=message):
         make_rng(seed, "assign", "v")
+    with pytest.raises(ValidationError, match=message):
+        first_integers(seed, [("assign", "v")], [2])
     with pytest.raises(ValidationError, match=message):
         SamplingPlan(Strategy.RANDOM, budget=1, seed=seed)
 
@@ -338,6 +340,20 @@ def test_square_root_matches_per_draw_reference(corpus_space, seed, data):
     assert rows == _reference_sqrt_rows(corpus, space, plan)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40), st.integers(0, 2**64 - 1))
+def test_cdf_search_draws_what_rng_choice_draws(weights, seed):
+    # sample_square_root's label draw against the rng.choice(p=...) it replaced
+    total = sum(weights)
+    probs = np.array([w / total for w in weights])
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    ours, numpys = make_rng(seed, "sqrt"), make_rng(seed, "sqrt")
+    for _ in range(20):
+        assert int(cdf.searchsorted(ours.random(), side="right")) == int(numpys.choice(len(probs), p=probs))
+        assert ours.integers(7) == numpys.integers(7)  # the streams stay in step
+
+
 def test_assign_draws_only_for_multi_label_videos(monkeypatch):
     corpus = []
     for i in range(300):
@@ -365,12 +381,14 @@ def test_assign_draws_only_for_multi_label_videos(monkeypatch):
 
     calls = []
 
-    def counting_make_rng(seed, *keys):
-        calls.append(keys)
-        return make_rng(seed, *keys)
+    def counting_first_integers(seed, key_paths, bounds):
+        calls.append((key_paths, bounds))
+        return first_integers(seed, key_paths, bounds)
 
-    monkeypatch.setattr(records, "make_rng", counting_make_rng)
+    monkeypatch.setattr(records, "first_integers", counting_first_integers)
     pools = assigned_pools(corpus, space, seed=5)
     assert pools == expected
-    assert len(calls) == multi
-    assert all(keys[0] == "assign" and len(matches[keys[1]]) > 1 for keys in calls)
+    assert len(calls) == 1  # one batch
+    key_paths, bounds = calls[0]
+    assert len(key_paths) == multi
+    assert all(keys[0] == "assign" and len(matches[keys[1]]) == n > 1 for keys, n in zip(key_paths, bounds))
