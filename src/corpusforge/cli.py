@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dedup as dedup_mod
 from .census import decode_frames, load_raw_frames
-from .evalmetrics import accuracy_topk, mean_average_precision, uniform_clip_starts
+from .evalmetrics import accuracy_topk, check_class_ids, mean_average_precision, uniform_clip_starts
 from .inflate import fcn_transform, inflate, inflation_equivalence, inflate_net
 from .labelspace import PosHint, build_label_space, load_seed_file, verbnoun_seeds
 from .manifest import load_manifest, save_manifest
@@ -208,6 +208,7 @@ def _cmd_probe_eval(args: argparse.Namespace) -> int:
         raise ValidationError(f"{args.model}: does not fit {mode.value} features {features.shape}")
     logits = model.logits(features)
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
+        check_class_ids(targets, model.weights.shape[0], args.features)
         top1 = accuracy_topk(logits, targets, k=1)
         print(f"top-1 accuracy: {top1:.4f}")
     else:
@@ -322,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--mode", required=True, choices=[m.value for m in ProbeMode])
     pt.add_argument("--l2", type=float, default=1e-4)
     pt.add_argument("--iters", type=int, default=1000)
-    pt.add_argument("--step", type=float, help="gradient step (default: 1/L from the features)")
+    pt.add_argument("--step", type=float, help="the first step, and any step taken without curvature "
+                    "pairs, as a multiple of the gradient (default: 1/L from the features)")
     pt.add_argument("-o", "--output", required=True, help="model path (.npz archive)")
     pt.set_defaults(func=_cmd_probe_train)
     pe = pr_sub.add_parser("eval")

@@ -65,10 +65,20 @@ def video_prediction(clip_logits: list[np.ndarray] | np.ndarray) -> np.ndarray:
     return np.mean(np.stack(arrs), axis=0)
 
 
+def check_class_ids(labels: np.ndarray, classes: int, source: object) -> None:
+    """Raise unless every class id in ``labels`` is in 0..classes-1; the
+    error names ``source`` (a file, or the argument the ids came in) and the
+    first id outside that range."""
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValidationError(f"{source}: class id {int(bad[0])} is outside 0..{classes - 1}")
+
+
 def accuracy_topk(preds: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     """Fraction of rows whose true label ranks in the top k by score.
 
-    Ties are broken by class index (lower index wins).
+    Ties are broken by class index (lower index wins).  A label with no
+    score column is an error, not a miss.
     """
     scores = np.asarray(preds, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -77,6 +87,7 @@ def accuracy_topk(preds: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     classes = scores.shape[1]
     if not 1 <= k <= classes:
         raise ValidationError(f"k={k} out of range 1..{classes}")
+    check_class_ids(y, classes, "labels")
     order = np.argsort(-scores, axis=1, kind="stable")  # stable: ties keep class order
     hits = (order[:, :k] == y[:, None]).any(axis=1)
     return float(hits.mean())

@@ -4,14 +4,16 @@ A probe is an L2-regularized logistic model: softmax + cross-entropy for
 multi-class targets, independent per-label sigmoids + logistic loss for
 multi-label targets.  The regularizer applies to the weights only.  For
 ``l2_lambda > 0`` the loss is strongly convex in the weights, so training
-reports where it bottoms out, not where a step count ends: full-batch
-Nesterov accelerated gradient (Nesterov 1983) from zero init, with step 1/L
-for a bound L on the gradient's Lipschitz constant, momentum restarted
-whenever the gradient points against the last step (O'Donoghue & Candès
-2015), and a stop once the gradient norm has fallen by GRAD_TOL; ``iters``
-only caps the steps.  Training is deterministic for a given numpy/BLAS build
-and thread count.  It computes every gradient in work arrays allocated once
-per training run (:class:`ProbeWork`), so no step allocates fresh
+reports where it bottoms out, not where a step count ends: limited-memory
+BFGS (Nocedal 1980; Liu & Nocedal 1989) from zero init over the last HISTORY
+curvature pairs, with a backtracking Armijo line search from the unit step.
+Where no curvature pair can be used the step is ``step`` times the negative
+gradient, 1/L by default for a bound L on the gradient's Lipschitz constant,
+so the first iterate is the 1/L gradient step.  Training stops once the
+gradient norm has fallen by GRAD_TOL; ``iters`` only caps the gradients
+taken.  Training is deterministic for a given numpy/BLAS build and thread
+count.  It computes every gradient in work arrays allocated once per
+training run (:class:`ProbeWork`), so no step allocates fresh
 ``(n, classes)`` temporaries.
 
 Feature files ("CFFT", little-endian):
@@ -31,11 +33,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._lazy import np
+from .evalmetrics import check_class_ids
 from .records import ValidationError, read_exact, write_file
 
 _CFFT_MAGIC = b"CFFT"
 _CFFT_HEADER = struct.Struct("<4sII")
 GRAD_TOL = 1e-4  # training stops once the gradient norm is this fraction of its value at zero
+HISTORY = 10  # curvature pairs the L-BFGS direction is built from
+ARMIJO_C1 = 1e-4  # fraction of the slope a line-search step must realise
 
 
 class ProbeMode(enum.Enum):
@@ -164,6 +169,26 @@ def _lipschitz_step(x: np.ndarray, mode: ProbeMode, l2_lambda: float) -> float:
     return 1.0 / (float(np.linalg.eigvalsh(gram / n)[-1]) * curvature + 2.0 * l2_lambda)
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs: list, out: np.ndarray) -> float:
+    """Set ``out`` to the L-BFGS direction ``-H grad`` by the two-loop
+    recursion over ``pairs`` of (s, y, s'y, y'y), oldest first, with the
+    initial Hessian guess scaled by s'y / y'y of the newest pair.  Returns the
+    slope ``grad . out``, nan when no pair is stored."""
+    if not pairs:
+        return math.nan
+    np.negative(grad, out=out)
+    alphas = []
+    for s, y, sy, _yy in reversed(pairs):
+        alpha = float(np.dot(s, out)) / sy
+        out -= alpha * y
+        alphas.append(alpha)
+    _s, _y, sy, yy = pairs[-1]
+    out *= sy / yy
+    for (s, y, sy, _yy), alpha in zip(pairs, reversed(alphas)):
+        out += (alpha - float(np.dot(y, out)) / sy) * s
+    return float(np.dot(grad, out))
+
+
 def train_probe(
     features: np.ndarray,
     targets: np.ndarray,
@@ -172,22 +197,28 @@ def train_probe(
     iters: int = 1000,
     step: float | None = None,
 ) -> ProbeModel:
-    """Nesterov's accelerated gradient from zero init, with adaptive restart.
+    """Limited-memory BFGS from zero init, with a backtracking line search.
 
-    The step is ``step``, or 1/L when it is None (see :func:`_lipschitz_step`).
-    Momentum restarts whenever the gradient points against the last step.
-    Training stops at the first point whose gradient norm over (weights,
-    bias) is at most GRAD_TOL times the norm at zero init, or once ``iters``
-    steps are taken, and returns the model and loss at that point.  Every
-    gradient is one call of :func:`probe_loss_and_grad` with one
-    :class:`ProbeWork`, so there are at most ``iters + 1`` calls.  A
-    non-finite loss or gradient norm raises.  Deterministic for a given
-    numpy/BLAS build and thread count.
+    Each direction comes from the last HISTORY curvature pairs (see
+    :func:`_lbfgs_direction`).  With no pair stored yet, or when that
+    direction does not descend, it is ``-step * gradient``, where ``step`` is
+    the given one or 1/L when it is None (see :func:`_lipschitz_step`); so
+    the first iterate is ``-gradient / L``.  The line search tries the unit
+    step along the direction and halves it until the loss falls by at least
+    ARMIJO_C1 times the slope (Armijo's rule).  Training stops at the first
+    accepted point whose gradient norm over (weights, bias) is at most
+    GRAD_TOL times the norm at zero init, or once ``iters`` gradients past
+    the one at zero are taken, line-search trials included, and returns the
+    model and loss of the last accepted point.  Every gradient is one call
+    of :func:`probe_loss_and_grad` with one :class:`ProbeWork`, so there are
+    at most ``iters + 1`` calls.  A non-finite loss or gradient norm at any
+    point raises.  Deterministic for a given numpy/BLAS build and thread
+    count.
     """
     if step is not None and not step > 0:
         raise ValidationError(f"step must be > 0, got {step}")
-    if not l2_lambda >= 0:
-        raise ValidationError(f"l2_lambda must be >= 0, got {l2_lambda}")
+    if not 0 <= l2_lambda < math.inf:
+        raise ValidationError(f"l2_lambda must be finite and >= 0, got {l2_lambda}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")
@@ -200,6 +231,7 @@ def train_probe(
         if t.ndim != 1 or t.shape[0] != x.shape[0]:
             raise ValidationError("multiclass targets must be (n,) class ids")
         classes = int(t.max()) + 1
+        check_class_ids(t, classes, "targets")
     else:
         t = np.asarray(targets, dtype=np.float64)
         if t.ndim != 2 or t.shape[0] != x.shape[0]:
@@ -210,36 +242,53 @@ def train_probe(
     if step is None:
         step = _lipschitz_step(x, mode, l2_lambda)
     work = ProbeWork(x.shape[0], classes, x.shape[1])
-    # (weights, bias) flattened like work.grad: y is where the gradient is
-    # taken, prev the last gradient step's result, delta the step between them
-    y, prev, delta = np.zeros_like(work.grad), np.zeros_like(work.grad), np.empty_like(work.grad)
-    weights = y[: classes * x.shape[1]].reshape(classes, x.shape[1])
-    bias = y[classes * x.shape[1] :]
-    theta = 1.0
-    # overflow shows up as a non-finite loss or gradient, checked every iteration
+    # (weights, bias) flattened like work.grad: point is where the loss is
+    # evaluated, at the last accepted point and grad its gradient
+    point, at, grad = np.zeros_like(work.grad), np.zeros_like(work.grad), np.empty_like(work.grad)
+    direction = np.empty_like(work.grad)
+    pairs: list = []  # the newest HISTORY (s, y, s'y, y'y), oldest first
+    cut = classes * x.shape[1]
+    weights, bias = point[:cut].reshape(classes, x.shape[1]), point[cut:]
+
+    def evaluate(it: int) -> tuple[float, float]:
+        loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda, work=work)
+        norm = math.sqrt(float(np.dot(work.grad, work.grad)))  # _gw and _gb, as one vector
+        if not (math.isfinite(loss) and math.isfinite(norm)):
+            raise ValidationError(f"non-finite loss at iteration {it}")
+        return loss, norm
+
+    # overflow shows up as a non-finite loss or gradient, checked at every point
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(iters + 1):
-            loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda, work=work)
-            grad = work.grad  # _gw and _gb, as one vector
-            norm = math.sqrt(float(np.dot(grad, grad)))
-            if not (math.isfinite(loss) and math.isfinite(norm)):
-                raise ValidationError(f"non-finite loss at iteration {it}")
-            if it == 0:
-                tol = GRAD_TOL * norm
-            if norm <= tol or it == iters:
+        it = 0
+        loss, norm = evaluate(it)
+        tol = GRAD_TOL * norm
+        grad[...] = work.grad
+        while norm > tol and it < iters:
+            slope = _lbfgs_direction(grad, pairs, direction)
+            if not slope < 0:  # no curvature to use: a gradient step
+                np.multiply(grad, -step, out=direction)
+                slope = -step * norm * norm
+            scale = 1.0
+            while it < iters:
+                np.multiply(direction, scale, out=point)
+                np.add(point, at, out=point)
+                it += 1
+                trial_loss, trial_norm = evaluate(it)
+                if trial_loss <= loss + ARMIJO_C1 * scale * slope:
+                    break
+                scale *= 0.5
+            else:  # the gradients ran out before a trial was accepted
                 break
-            np.multiply(grad, step, out=grad)  # a work view: scale it in place
-            np.subtract(y, grad, out=y)
-            np.subtract(y, prev, out=delta)
-            prev[...] = y
-            if float(np.dot(grad, delta)) > 0:  # restart: drop the momentum
-                theta = 1.0
-            else:
-                last, theta = theta, (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-                y += np.multiply(delta, (last - 1.0) / theta, out=delta)
-    return ProbeModel(
-        weights=weights, bias=bias, mode=mode, l2_lambda=l2_lambda, final_loss=loss
-    )
+            s, y = point - at, work.grad - grad
+            sy, yy = float(np.dot(s, y)), float(np.dot(y, y))
+            if 0 < sy < math.inf and 0 < yy < math.inf:
+                pairs.append((s, y, sy, yy))
+                del pairs[:-HISTORY]
+            at[...] = point
+            grad[...] = work.grad
+            loss, norm = trial_loss, trial_norm
+    return ProbeModel(weights=at[:cut].reshape(classes, x.shape[1]), bias=at[cut:], mode=mode,
+                      l2_lambda=l2_lambda, final_loss=loss)
 
 
 # ---------------------------------------------------------------------------

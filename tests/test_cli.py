@@ -406,6 +406,21 @@ def test_cli_probe_writes_exactly_the_output_name(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_cli_probe_eval_rejects_a_class_id_the_model_has_no_output_for(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((40, 3)).astype(np.float32)
+    train, val, model = tmp_path / "train.cfft", tmp_path / "val.cfft", tmp_path / "p.npz"
+    save_features(x, np.arange(40) % 4, ProbeMode.SOFTMAX_MULTICLASS, train)
+    save_features(x, np.where(np.arange(40) % 2 == 0, 9, np.arange(40) % 4), ProbeMode.SOFTMAX_MULTICLASS, val)
+    assert main(["probe", "train", "--features", str(train), "--mode", "softmax", "--iters", "5",
+                 "-o", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["probe", "eval", "--features", str(val), "--mode", "softmax", "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {val}: class id 9 is outside 0..3"]
+
+
 @pytest.fixture
 def one_line_error_inputs(pipeline_files):
     """Argument lists with one non-finite number each, keyed by case."""

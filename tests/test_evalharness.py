@@ -472,8 +472,9 @@ def _grad_norm(weights, bias, x, t, mode, l2_lambda) -> float:
 # With random labels and at least 10 (d + 1) samples a class is almost never
 # separable, so the minimum is well conditioned: over 2,000 such problems
 # (n in 40-64) a gradient norm of GRAD_TOL times the initial one left loss
-# gaps of at most 4e-7.  With few samples a class can be separable; the loss
-# is nearly flat there, and the same stop left gaps up to 2e-2.
+# gaps of at most 4e-7.  With few samples a class can be separable and the
+# loss nearly flat near its minimum, where the gradient norm bounds the loss
+# gap only loosely: see the flat-problem test below.
 _LBFGS_EPS = 1e-5
 
 
@@ -527,6 +528,39 @@ def test_train_probe_ends_below_the_loss_of_1000_fixed_steps(mode):
     assert train_probe(x, t, mode).final_loss <= fixed_loss
 
 
+# twice the gradients each mode needed to reach GRAD_TOL (28 and 23)
+_GRADIENT_BUDGET = {ProbeMode.SOFTMAX_MULTICLASS: 56, ProbeMode.SIGMOID_MULTILABEL: 46}
+
+
+@pytest.mark.parametrize("mode", list(ProbeMode))
+def test_train_probe_reaches_the_tolerance_within_the_gradient_budget(mode):
+    x, t = _benchmark_shaped_problem(mode)
+    with mock.patch.object(probe, "probe_loss_and_grad", wraps=probe.probe_loss_and_grad) as spy:
+        model = train_probe(x, t, mode)
+    assert spy.call_count <= _GRADIENT_BUDGET[mode]
+    zero_w, zero_b = np.zeros_like(model.weights), np.zeros_like(model.bias)
+    assert _grad_norm(model.weights, model.bias, x, t, mode, 1e-4) <= GRAD_TOL * _grad_norm(
+        zero_w, zero_b, x, t, mode, 1e-4)
+
+
+def test_train_probe_on_flat_problems_stops_before_the_cap_near_the_lbfgs_minimum():
+    # 16 samples of 4 classes in 4 dims, scaled up: often near-separable, so
+    # the loss is flat around its minimum and a gradient step makes little
+    # progress there.  The gradient-norm stop still bounds the gap only loosely.
+    counts, gaps = [], []
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((16, 4)) * 10.0
+        t = rng.permutation(np.arange(16) % 4)
+        with mock.patch.object(probe, "probe_loss_and_grad", wraps=probe.probe_loss_and_grad) as spy:
+            model = train_probe(x, t, ProbeMode.SOFTMAX_MULTICLASS, 1e-4)
+        want = _lbfgs_minimum(x, t, ProbeMode.SOFTMAX_MULTICLASS, 1e-4, 4)
+        counts.append(spy.call_count)
+        gaps.append(abs(model.final_loss - want) / max(1.0, want))
+    assert max(counts) <= 1000, f"seed {counts.index(max(counts))} stopped at the cap of 1000 steps"
+    assert max(gaps) <= 1e-2, f"seed {gaps.index(max(gaps))}: loss {max(gaps):.3g} above the minimum"
+
+
 @pytest.mark.parametrize("mode", list(ProbeMode))
 def test_train_probe_first_step_is_1_over_l_or_the_given_step(mode):
     rng = np.random.default_rng(13)
@@ -541,6 +575,22 @@ def test_train_probe_first_step_is_1_over_l_or_the_given_step(mode):
     np.testing.assert_allclose(model.bias, -step * grad_b, rtol=1e-12)
     given = train_probe(x, t, mode, 0.01, iters=1, step=0.3)
     assert np.array_equal(given.weights, -0.3 * grad_w) and np.array_equal(given.bias, -0.3 * grad_b)
+
+
+@pytest.mark.parametrize("mode", list(ProbeMode))
+def test_train_probe_returns_the_last_accepted_point_when_the_gradients_run_out(mode):
+    # steps of 1e3, 500 and 250 gradients all overshoot, so the three trials
+    # iters=3 allows are rejected and training ends at zero init
+    x, y = _separable_toy(12)
+    t = y if mode is ProbeMode.SOFTMAX_MULTICLASS else np.eye(2)[y]
+    loss, grad_w, grad_b = probe_loss_and_grad(np.zeros((2, 2)), np.zeros(2), x, t, mode, 1e-4)
+    for step in (1e3, 500.0, 250.0):
+        assert probe_loss_and_grad(-step * grad_w, -step * grad_b, x, t, mode, 1e-4)[0] > loss
+    with mock.patch.object(probe, "probe_loss_and_grad", wraps=probe.probe_loss_and_grad) as spy:
+        model = train_probe(x, t, mode, iters=3, step=1e3)
+    assert spy.call_count == 4  # line-search trials count against iters
+    assert not model.weights.any() and not model.bias.any()
+    assert model.final_loss == loss
 
 
 def _huge_problem(mode):
@@ -573,8 +623,9 @@ def test_train_probe_reports_a_non_finite_gradient_norm_as_a_non_finite_loss(mod
         ({"step": -1.0}, "step must be > 0, got -1.0"),
         ({"step": 0.0}, "step must be > 0, got 0.0"),
         ({"step": math.nan}, "step must be > 0, got nan"),
-        ({"l2_lambda": -1.0}, "l2_lambda must be >= 0, got -1.0"),
-        ({"l2_lambda": math.nan}, "l2_lambda must be >= 0, got nan"),
+        ({"l2_lambda": -1.0}, "l2_lambda must be finite and >= 0, got -1.0"),
+        ({"l2_lambda": math.nan}, "l2_lambda must be finite and >= 0, got nan"),
+        ({"l2_lambda": math.inf}, "l2_lambda must be finite and >= 0, got inf"),
     ],
 )
 def test_train_probe_rejects_bad_step_and_l2_before_allocating(monkeypatch, kwargs, message):
@@ -585,6 +636,17 @@ def test_train_probe_rejects_bad_step_and_l2_before_allocating(monkeypatch, kwar
     x, y = _separable_toy()
     with pytest.raises(ValidationError, match=f"^{message}$"):
         train_probe(x, y, ProbeMode.SOFTMAX_MULTICLASS, **kwargs)
+
+
+def test_train_probe_rejects_a_negative_class_id_before_allocating(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work arrays allocated before the class ids were checked")
+
+    monkeypatch.setattr(probe, "ProbeWork", no_work)
+    x, y = _separable_toy()
+    y[3] = -1
+    with pytest.raises(ValidationError, match=r"^targets: class id -1 is outside 0\.\.1$"):
+        train_probe(x, y, ProbeMode.SOFTMAX_MULTICLASS)
 
 
 @st.composite
@@ -710,6 +772,13 @@ def test_stable_argsort_ranks_like_the_lexsort_reference(n, classes, data):
 def test_topk_k_out_of_range():
     with pytest.raises(ValidationError):
         accuracy_topk(np.zeros((2, 3)), np.zeros(2, dtype=int), 4)
+
+
+@pytest.mark.parametrize("bad", [3, 9, -1])
+def test_topk_label_without_a_score_column_is_an_error(bad):
+    labels = np.array([0, 1, bad, 2, bad])
+    with pytest.raises(ValidationError, match=f"^labels: class id {bad} is outside 0\\.\\.2$"):
+        accuracy_topk(np.eye(5, 3), labels, 1)
 
 
 def test_ap_hand_case():
