@@ -41,6 +41,7 @@ _CFFT_HEADER = struct.Struct("<4sII")
 GRAD_TOL = 1e-4  # training stops once the gradient norm is this fraction of its value at zero
 HISTORY = 10  # curvature pairs the L-BFGS direction is built from
 ARMIJO_C1 = 1e-4  # fraction of the slope a line-search step must realise
+L2_LIMIT = 2.0**1023  # from here up, the gradient's 2 * l2_lambda overflows
 
 
 class ProbeMode(enum.Enum):
@@ -219,6 +220,8 @@ def train_probe(
         raise ValidationError(f"step must be > 0, got {step}")
     if not 0 <= l2_lambda < math.inf:
         raise ValidationError(f"l2_lambda must be finite and >= 0, got {l2_lambda}")
+    if l2_lambda >= L2_LIMIT:
+        raise ValidationError(f"l2_lambda must be < 2**1023, got {l2_lambda}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")

@@ -164,6 +164,7 @@ class VideoRecord:
     source_uri: str | None = None
 
     def __post_init__(self) -> None:
+        # _plain_record repeats these checks for load_corpus and must change with them
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("video id must be a non-empty string")
         if not 0 < self.duration_s < math.inf:
@@ -274,22 +275,83 @@ _CORPUS_FIELDS = frozenset({"id", "duration_s", "hashtags", "frame_rate", "sourc
 _CORPUS_REQUIRED = frozenset({"id", "duration_s"})
 
 
+_JSON_NUMBER = (float, int)  # exact types: a bool (an int subclass) goes to VideoRecord(...)
+# the slot setters, which a frozen VideoRecord's __setattr__ would refuse
+_set_id, _set_duration, _set_hashtags, _set_frame_rate, _set_uri = (
+    VideoRecord.__dict__[name].__set__ for name in ("id", "duration_s", "hashtags", "frame_rate", "source_uri")
+)
+
+
+def _plain_record(obj: dict, checked: dict[str, str]) -> VideoRecord | None:
+    """``obj``'s record, built without ``VideoRecord.__init__``, when its id
+    is a non-empty string, its numbers are finite positive JSON numbers, its
+    ``source_uri`` null or a string and its hashtags a list of good strings;
+    otherwise None, and the caller builds ``VideoRecord(...)``, which raises
+    the line's error.
+
+    ``checked`` maps each raw hashtag met so far to its lowercase form, checked
+    once by :func:`_hashtag_set`, so records with equal raw tags share one
+    string object for each."""
+    video_id = obj["id"]
+    duration = obj["duration_s"]
+    tags = obj.get("hashtags", ())
+    frame_rate = obj.get("frame_rate", 16.0)
+    uri = obj.get("source_uri")
+    if not (
+        type(video_id) is str and video_id
+        and type(duration) in _JSON_NUMBER and type(frame_rate) in _JSON_NUMBER
+        and (uri is None or type(uri) is str) and type(tags) in (list, tuple)
+    ):
+        return None
+    try:
+        duration, frame_rate = float(duration), float(frame_rate)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not (0 < duration < math.inf and 0 < frame_rate < math.inf):
+        return None
+    for tag in tags:
+        if type(tag) is not str:  # before the lookup: a list or dict is unhashable
+            return None
+        if tag not in checked:
+            try:
+                (lower,) = _hashtag_set([tag], "video", video_id)
+            except ValidationError:  # VideoRecord names the bad tag it meets first
+                return None
+            checked[tag] = lower
+    rec = object.__new__(VideoRecord)
+    _set_id(rec, video_id)
+    _set_duration(rec, duration)
+    _set_hashtags(rec, frozenset([checked[tag] for tag in tags]))
+    _set_frame_rate(rec, frame_rate)
+    _set_uri(rec, uri)
+    return rec
+
+
 def load_corpus(path: str | Path) -> list[VideoRecord]:
-    """Read a corpus JSONL file; duplicate ids are rejected."""
+    """Read a corpus JSONL file; duplicate ids are rejected.
+
+    A line whose fields pass every ``VideoRecord`` check is built by
+    :func:`_plain_record`, which checks and lowercases each distinct raw
+    hashtag once per load, so records with equal raw tags share one string
+    for each.  Any other line goes through ``VideoRecord(...)``, which raises
+    its error."""
     records: list[VideoRecord] = []
     seen: set[str] = set()
+    checked: dict[str, str] = {}
     lines = ((lineno, line.strip()) for lineno, line in read_lines(path))
     for lineno, obj in read_jsonl(path, lines, _CORPUS_FIELDS, _CORPUS_REQUIRED):
-        try:
-            rec = VideoRecord(
-                id=obj["id"],
-                duration_s=float(obj["duration_s"]),
-                hashtags=obj.get("hashtags", ()),
-                frame_rate=float(obj.get("frame_rate", 16.0)),
-                source_uri=obj.get("source_uri"),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        rec = _plain_record(obj, checked)
+        if rec is None:
+            try:
+                rec = VideoRecord(
+                    id=obj["id"],
+                    duration_s=float(obj["duration_s"]),
+                    hashtags=obj.get("hashtags", ()),
+                    frame_rate=float(obj.get("frame_rate", 16.0)),
+                    source_uri=obj.get("source_uri"),
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         if rec.id in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate video id {rec.id!r}")
         seen.add(rec.id)

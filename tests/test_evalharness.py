@@ -626,6 +626,8 @@ def test_train_probe_reports_a_non_finite_gradient_norm_as_a_non_finite_loss(mod
         ({"l2_lambda": -1.0}, "l2_lambda must be finite and >= 0, got -1.0"),
         ({"l2_lambda": math.nan}, "l2_lambda must be finite and >= 0, got nan"),
         ({"l2_lambda": math.inf}, "l2_lambda must be finite and >= 0, got inf"),
+        ({"l2_lambda": 1e308}, "l2_lambda must be < 2\\*\\*1023, got 1e\\+308"),
+        ({"l2_lambda": 2.0**1023}, "l2_lambda must be < 2\\*\\*1023, got 8.98846567431158e\\+307"),
     ],
 )
 def test_train_probe_rejects_bad_step_and_l2_before_allocating(monkeypatch, kwargs, message):

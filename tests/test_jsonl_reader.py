@@ -47,6 +47,21 @@ _SPECIAL_CORPUS_LINES = [
 ]
 _PADDING = st.sampled_from(["", "", " ", "\t", "\x0c", "\xa0", "\u2028", "\x85", "  "])
 
+# hashtag lists: any JSON element type, bad tags, and one tag in several cases,
+# which lowercase to one tag
+_TAG = (
+    _TEXT
+    | st.sampled_from(["A", "a", "Tag", "tAG", "#x", "a b", ""])
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.lists(_TEXT, max_size=1)
+    | st.dictionaries(_TEXT, st.integers(), max_size=1)
+)
+_TAGS = st.lists(_TAG, max_size=3) | st.sampled_from([["A", "a"], ["Tag", "tag", "TAG"], "x"])
+# numbers the record check sees after float(): bools, and an integer float() overflows on
+_CORPUS_NUMBER = _NUMBER | st.booleans() | st.just(10**400)
+
 
 def _dumps(draw, obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=draw(st.booleans()))
@@ -58,10 +73,10 @@ def _corpus_line(draw):
         return draw(st.sampled_from(_SPECIAL_CORPUS_LINES))
     obj = draw(
         st.fixed_dictionaries(
-            {"id": _TEXT, "duration_s": _NUMBER},
+            {"id": _TEXT, "duration_s": _CORPUS_NUMBER},
             optional={
-                "hashtags": st.lists(_TEXT, max_size=3) | st.just("x"),
-                "frame_rate": _NUMBER,
+                "hashtags": _TAGS,
+                "frame_rate": _CORPUS_NUMBER,
                 "source_uri": st.none() | _TEXT,
                 "extra": st.integers(),
             },
@@ -118,6 +133,11 @@ _VALID = '{"id": "v1", "duration_s": 2.5, "hashtags": ["a", "B"]}'
 @given(_file(_corpus_line()))
 @example(f"{_VALID}\r\n\r\n{_VALID.replace('v1', 'v2')}\r".encode())
 @example(f"{_VALID}\n{_VALID}\n".encode())  # a duplicate id
+@example(b'{"id": "v1", "duration_s": 1.0, "hashtags": [["a"]]}\n')  # an unhashable tag
+@example(b'{"id": "v1", "duration_s": 1' + b"0" * 400 + b'}\n')  # float() overflows
+@example(b'{"id": "v1", "duration_s": 1.0, "frame_rate": true}\n')
+@example(b'{"id": "v1", "duration_s": 1.0, "hashtags": ["ok", "a b", "#c"]}\n')  # two bad tags
+@example(f"{_VALID}\n{_VALID.replace('v1', 'v2').replace('B', 'b b')}\n".encode())  # a bad tag after a good load
 def test_corpus_reader_equals_the_per_line_loop(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
     path.write_bytes(data)

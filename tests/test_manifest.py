@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -220,8 +221,11 @@ def test_video_record_invariants():
     assert rec.hashtags == frozenset({"upper"})
 
 
-def test_hashtag_check_matches_per_character_reference():
-    # every code point as a one-character tag, lowercased as VideoRecord does
+def _code_point_tags() -> tuple[list[list[str]], list[str]]:
+    """Every code point as a one-character tag, split by a per-character
+    reference of the hashtag rule on the tag lowercased as VideoRecord does:
+    the good ones in chunks of 0x10000, and the bad ones, also inside a
+    longer tag, plus the empty tag."""
     def reference_bad(tag):
         return not tag or "#" in tag or any(ch.isspace() for ch in tag)
 
@@ -229,12 +233,69 @@ def test_hashtag_check_matches_per_character_reference():
     for cp in range(0x110000):
         tag = chr(cp)
         (bad if reference_bad(tag.lower()) else good).append(tag)
-    for i in range(0, len(good), 0x10000):
-        VideoRecord(id="v", duration_s=1.0, hashtags=good[i : i + 0x10000])
     assert len(bad) > 20  # the whitespace code points and "#"
-    for tag in bad + [f"a{tag}b" for tag in bad] + [""]:
+    return [good[i : i + 0x10000] for i in range(0, len(good), 0x10000)], bad + [f"a{tag}b" for tag in bad] + [""]
+
+
+def test_hashtag_check_matches_per_character_reference():
+    good_chunks, bad = _code_point_tags()
+    for chunk in good_chunks:
+        VideoRecord(id="v", duration_s=1.0, hashtags=chunk)
+    for tag in bad:
         with pytest.raises(ValidationError, match="bad hashtag"):
             VideoRecord(id="v", duration_s=1.0, hashtags=[tag])
+
+
+def test_load_corpus_hashtag_check_matches_per_character_reference(tmp_path):
+    # the same verdict and message through load_corpus as through VideoRecord
+    good_chunks, bad = _code_point_tags()
+    path = tmp_path / "corpus.jsonl"
+    for chunk in good_chunks:
+        path.write_text(json.dumps({"id": "v", "duration_s": 1.0, "hashtags": chunk}) + "\n")
+        (rec,) = load_corpus(path)
+        assert rec.hashtags == VideoRecord(id="v", duration_s=1.0, hashtags=chunk).hashtags
+    # each bad tag alone, then all in one video: the message names the tag VideoRecord names
+    for tags in [["ok", tag] for tag in bad] + [["ok", *bad]]:
+        path.write_text(json.dumps({"id": "v", "duration_s": 1.0, "hashtags": tags}) + "\n")
+        with pytest.raises(ValidationError, match="bad hashtag") as loaded:
+            load_corpus(path)
+        with pytest.raises(ValidationError) as direct:
+            VideoRecord(id="v", duration_s=1.0, hashtags=tags)
+        assert str(loaded.value) == f"{path}:1: {direct.value}"
+
+
+def test_load_corpus_shares_one_string_per_distinct_tag(tmp_path):
+    # one raw spelling per tag, some not lowercase; "İ" lowercases to two code points
+    tags = ["cat", "Dog", "fish", "Ünïcode", "İstanbul"]
+    rng = random.Random(0)
+    objs = []
+    for i in range(400):
+        obj = {"id": f"v{i}", "duration_s": rng.choice([1.5, 2, 10**20, 0.25])}
+        if i % 5:
+            obj["hashtags"] = rng.sample(tags, rng.randint(0, 5))
+        if i % 3 == 0:
+            obj["frame_rate"] = rng.choice([30, 29.97])
+        if i % 4 == 0:
+            obj["source_uri"] = rng.choice([None, f"s3://bucket/v{i}.mp4"])
+        objs.append(obj)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(obj, ensure_ascii=bool(i % 2)) + "\n" for i, obj in enumerate(objs)))
+    loaded = load_corpus(path)
+    one_of: dict[str, str] = {}  # equal raw tags give one object
+    for rec in loaded:
+        for tag in rec.hashtags:
+            assert one_of.setdefault(tag, tag) is tag
+    assert sorted(one_of) == ["cat", "dog", "fish", "i\u0307stanbul", "ünïcode"]
+    for rec, obj in zip(loaded, objs, strict=True):
+        direct = VideoRecord(
+            id=obj["id"],
+            duration_s=float(obj["duration_s"]),
+            hashtags=obj.get("hashtags", ()),
+            frame_rate=float(obj.get("frame_rate", 16.0)),
+            source_uri=obj.get("source_uri"),
+        )
+        assert type(rec) is VideoRecord
+        assert rec == direct and hash(rec) == hash(direct)
 
 
 @pytest.mark.parametrize(
@@ -243,6 +304,8 @@ def test_hashtag_check_matches_per_character_reference():
         ('{"id":"v2","duration_s":5.0,"hashtags":"xyz"}', "list of strings"),
         ('{"id":"v2","duration_s":5.0,"hashtags":["a",7]}', "must be strings"),
         ('{"id":"v2","duration_s":5.0,"hashtags":null}', "must be strings"),
+        ('{"id":"v2","duration_s":5.0,"hashtags":[["a"]]}', "must be strings"),
+        ('{"id":"v2","duration_s":5.0,"hashtags":[{"a":1}]}', "must be strings"),
         ('{"id":"v2","duration_s":"abc","hashtags":["a"]}', "could not convert"),
         ('{"id":"v2","duration_s":null,"hashtags":["a"]}', "float"),
         ('{"id":"v2","duration_s":Infinity,"hashtags":["a"]}', "finite"),

@@ -3,12 +3,15 @@
 Every run exits 0, 1 or 2; a non-zero exit prints exactly one stderr line,
 and no run prints a traceback or a numpy RuntimeWarning (warnings are
 errors here, so one would escape ``main`` and fail the test).  ``--iters``
-is at most 50, so no accepted run takes more than 51 gradients.
+is at most 50, so no accepted run takes more than 51 gradients.  A finite
+``--l2`` from 2**1023 up is rejected as such, not reported as a non-finite
+loss.
 """
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpusforge.cli import main
-from corpusforge.probe import ProbeMode, save_features
+from corpusforge.probe import L2_LIMIT, ProbeMode, save_features
 
-_NUMBERS = ["0", "-1", "1e-320", "1e308", "nan", "inf", "-inf"]
+# 2**1023 and the float below it: the first l2 whose gradient term 2 * l2 overflows, and the last that does not
+_NUMBERS = ["0", "-1", "1e-320", "1e308", "8.98846567431158e307", "8.988465674311579e307", "nan", "inf", "-inf"]
 _ITERS = ["-1", "0", "1", "7", "50"]
 
 
@@ -85,6 +89,8 @@ def test_probe_train_and_eval_exit_cleanly_on_any_drawn_arguments(
         code, _out, err = _run(argv)
         _check_contract(code, err)
         assert model.exists() == (code == 0)
+        if l2 is not None and L2_LIMIT <= float(l2) < math.inf:
+            assert code == 2 and "non-finite loss" not in err
         code, out, err = _run(["probe", "eval", "--features", str(paths[eval_file]),
                                "--mode", eval_mode.value, "--model", str(model)])
         _check_contract(code, err)
