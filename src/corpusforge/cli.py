@@ -11,6 +11,7 @@ import gc
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import dedup as dedup_mod
 from .census import decode_frames, load_raw_frames
@@ -223,8 +224,16 @@ def _cmd_eval_clips(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one stderr line and exit 2, as every other error
+    is; the usage text stays on ``--help``.  Subparsers share the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="corpusforge")
+    parser = _Parser(prog="corpusforge")
     sub = parser.add_subparsers(dest="command", required=True)
 
     manifest = sub.add_parser("manifest", help="manifest utilities")

@@ -26,14 +26,21 @@ DEFAULT_TAU = 0.9
 DEFAULT_THRESHOLD_PCT = 20.0
 
 
+def _check_tau(tau: float) -> None:
+    """The cosine threshold rule of every entry point: finite, in [-1, 1]."""
+    if not -1.0 <= tau <= 1.0:
+        raise ValidationError(f"tau must be finite and in [-1, 1], got {tau}")
+
+
 class LshIndex:
     """Random-hyperplane LSH over 64-dim signatures.
 
     Each of the BANDS bands hashes a vector to BITS sign bits (dot products
-    with random unit hyperplanes).  The index keeps one row per stored frame:
-    its signature in an (n, 64) array and its band keys in an (n, BANDS) one.
-    Similar vectors share a band key with probability (1 - theta/pi)^BITS per
-    band; the candidates of a query are the rows sharing at least one key.
+    with random unit hyperplanes), packed into one uint8 key.  The index keeps
+    one row per stored frame: its signature in an (n, 64) float64 array and
+    its band keys in an (n, BANDS) uint8 one.  Similar vectors share a band
+    key with probability (1 - theta/pi)^BITS per band; the candidates of a
+    query are the rows sharing at least one key.
 
     Build is single-writer.  The first query after an insert stacks the new
     rows; after it returns, queries are read-only and safe to run
@@ -47,19 +54,20 @@ class LshIndex:
         self.planes = planes.reshape(BANDS, BITS, SIGNATURE_DIM)
         self._entries: list[tuple[str, int]] = []
         self._vectors = np.empty((0, SIGNATURE_DIM), dtype=np.float64)
-        self._keys = np.empty((0, BANDS), dtype=np.int64)
+        self._keys = np.empty((0, BANDS), dtype=np.uint8)
         # blocks inserted since the last query; stacked once by _stack(), so
         # that n inserts cost one copy of the index, not n
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
 
     def _band_keys(self, vectors: np.ndarray) -> np.ndarray:
-        """(n, BANDS) BITS-bit keys of the rows of an (n, 64) array."""
+        """(n, BANDS) uint8 keys of the rows of an (n, 64) array: bit i of a
+        band's key is the sign bit of the band's i-th hyperplane."""
         bits = (vectors @ self.planes.reshape(-1, SIGNATURE_DIM).T) > 0.0
-        weights = 1 << np.arange(BITS, dtype=np.int64)
-        return bits.reshape(len(vectors), BANDS, BITS) @ weights
+        # BITS == 8: each run of 8 sign bits packs into exactly one band's byte
+        return np.packbits(bits, axis=-1, bitorder="little")
 
     def keys(self, vector: np.ndarray) -> np.ndarray:
-        """The BANDS band keys of a vector (BITS-bit integers)."""
+        """The BANDS uint8 band keys of a vector."""
         v = np.asarray(vector, dtype=np.float64)
         return self._band_keys(v[None, :])[0]
 
@@ -76,7 +84,7 @@ class LshIndex:
             return
         done = len(self._vectors)
         vectors = np.empty((len(self._entries), SIGNATURE_DIM), dtype=np.float64)
-        keys = np.empty((len(self._entries), BANDS), dtype=np.int64)
+        keys = np.empty((len(self._entries), BANDS), dtype=np.uint8)
         vectors[:done], keys[:done] = self._vectors, self._keys
         self._vectors, self._keys = vectors, keys
         pending, self._pending = self._pending[::-1], []
@@ -89,16 +97,21 @@ class LshIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def candidates(self, vector: np.ndarray) -> list[int]:
-        """Entries sharing at least one band key with the vector, in index order."""
+    def candidates(self, vector: np.ndarray) -> np.ndarray:
+        """Ascending int64 indices of the entries sharing at least one band key
+        with the vector."""
         self._stack()
-        return np.flatnonzero((self._keys == self.keys(vector)).any(axis=1)).tolist()
+        # BANDS == 16 one-byte keys: a row's equality mask is 16 bytes, read as
+        # two uint64 words, and the row shares a key exactly when either is nonzero
+        same = (self._keys == self.keys(vector)).view(np.uint64)
+        return np.flatnonzero(same[:, 0] | same[:, 1])
 
     def match(self, vector: np.ndarray, tau: float = DEFAULT_TAU) -> list[tuple[str, int]]:
         """Candidates verified by exact cosine >= tau, with one cosine for all."""
+        _check_tau(tau)
         found = self.candidates(vector)  # stacks pending inserts into _vectors
-        sims = cosine(vector, self._vectors[found])
-        return [self._entries[found[i]] for i in np.flatnonzero(sims >= tau)]
+        sims = cosine(vector, self._vectors.take(found, axis=0))
+        return [self._entries[i] for i in found[sims >= tau].tolist()]
 
 
 def build_index(targets: Iterable[SignatureSequence], seed: int = 0) -> LshIndex:
@@ -112,6 +125,7 @@ def overlap(
     source: SignatureSequence, index: LshIndex, tau: float = DEFAULT_TAU
 ) -> list[tuple[str, float]]:
     """Per-target overlap: % of source frames with >= 1 match in the target."""
+    _check_tau(tau)
     if len(source) == 0:
         raise ValidationError(f"source {source.video_id!r} has no frames")
     matched_frames: dict[str, set[int]] = {}
@@ -156,8 +170,7 @@ def dedup_report(
     """Measure every source against an LSH index of all targets, with
     hyperplanes seeded by ``seed``.  No iterable is read before the checks
     pass; then each target and each source is read once, in that order."""
-    if not -1.0 <= tau <= 1.0:
-        raise ValidationError(f"tau must be finite and in [-1, 1], got {tau}")
+    _check_tau(tau)
     if not 0.0 <= threshold_pct <= 100.0:
         raise ValidationError(f"threshold_pct must be finite and in [0, 100], got {threshold_pct}")
     index = build_index(targets, seed=seed)

@@ -6,7 +6,9 @@
 renamed or no longer called never fires, and the traced benchmark run then
 exits 1 on that lookup.  This test runs the same tour on tiny inputs, each
 command under ``tracer.py`` in its own process, and makes the same lookup.
-It reads ``perfbench/`` and writes nothing there.
+It also checks that the census and dedup counters still count one decode,
+insert, query or verification per frame, as their names say.  It reads
+``perfbench/`` and writes nothing there.
 """
 from __future__ import annotations
 
@@ -56,3 +58,19 @@ def test_a_traced_tour_yields_every_declared_per_layer_metric(perfbench, tmp_pat
     layers = run.per_layer(sorted(trace_dir.glob("*.npz")), [traced], 0.0, 0.0, 0.0)
     declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]]
     assert [name for name in declared if name not in layers] == []
+    # the dedup counters still count what their names say: one decode per
+    # frame, one insert per target frame, one query and one verification per
+    # source frame
+    spec = workload.dedup
+    target_frames = (spec.ramp_targets + spec.tile_targets) * spec.target_frames
+    source_frames = (spec.planted + spec.distractors) * spec.source_frames
+    assert target_frames + source_frames == videos.frames
+    counted = ["census.frames_decoded", "census.frames_resized", "dedup.index_entries", "dedup.queries",
+               "dedup.verify_calls"]
+    assert {name: layers[name] for name in counted} == {
+        "census.frames_decoded": videos.frames,
+        "census.frames_resized": videos.resized,
+        "dedup.index_entries": target_frames,
+        "dedup.queries": source_frames,
+        "dedup.verify_calls": source_frames,
+    }

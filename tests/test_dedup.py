@@ -41,7 +41,8 @@ def test_insert_then_query_self():
 
 def test_empty_index_no_candidates():
     index = LshIndex(seed=1)
-    assert index.candidates(np.ones(64) / 64) == []
+    found = index.candidates(np.ones(64) / 64)
+    assert found.dtype == np.int64 and found.tolist() == []
     assert index.match(np.ones(64) / 64) == []
 
 
@@ -183,22 +184,33 @@ def test_dedup_report_threshold_zero_flags_any_match():
     assert report.flagged_sources() == {"dup"}
 
 
+def _entry_points(name: str, value: float) -> list:
+    """A call with the value for each entry point that takes the argument:
+    dedup_report for both, and overlap and LshIndex.match for tau."""
+    sig = decode_frames(ramp_video("dup", list(range(4))))
+    calls = [lambda: dedup_report([sig], [sig], **{name: value})]
+    if name == "tau":
+        index = build_index([sig])
+        calls += [lambda: overlap(sig, index, value), lambda: index.match(sig.frames[0], value)]
+    return calls
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["tau", "threshold_pct"])
 def test_dedup_report_rejects_non_finite_tau_and_threshold(name, value):
     # nan would match nothing and flag nothing, and be written to summary.json
-    sources = [decode_frames(ramp_video("dup", list(range(4))))]
-    with pytest.raises(ValidationError, match=f"{name} must be finite"):
-        dedup_report(sources, sources, **{name: value})
+    for call in _entry_points(name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            call()
 
 
 @pytest.mark.parametrize("name, value", [("tau", -5.0), ("tau", 1.5), ("threshold_pct", -1.0),
                                          ("threshold_pct", 500.0)])
 def test_dedup_report_rejects_out_of_range_tau_and_threshold(name, value):
     # tau -5 pairs every frame, threshold 500 flags nothing
-    sources = [decode_frames(ramp_video("dup", list(range(4))))]
-    with pytest.raises(ValidationError, match=rf"^{name} must be finite and in \[.*\], got {value}$"):
-        dedup_report(sources, sources, **{name: value})
+    for call in _entry_points(name, value):
+        with pytest.raises(ValidationError, match=rf"^{name} must be finite and in \[.*\], got {value}$"):
+            call()
 
 
 def test_dedup_report_accepts_the_range_ends():
@@ -206,6 +218,11 @@ def test_dedup_report_accepts_the_range_ends():
     for tau, threshold_pct in [(-1.0, 0.0), (1.0, 100.0)]:
         report = dedup_report(sources, sources, tau=tau, threshold_pct=threshold_pct)
         assert (report.params["tau"], report.params["threshold_pct"]) == (tau, threshold_pct)
+    flat = _sig("flat", np.ones((2, 64)))  # cosine with itself exactly 1.0
+    assert overlap(flat, build_index([flat]), 1.0) == [("flat", 100.0)]
+    index = build_index(sources)
+    candidates = index.candidates(sources[0].frames[0]).tolist()  # each has a cosine >= -1
+    assert index.match(sources[0].frames[0], -1.0) == [index._entries[k] for k in candidates]
 
 
 def test_dedup_report_recall_on_injected_duplicates():
@@ -356,7 +373,7 @@ def test_index_equals_dict_table_reference(data_seed, index_seed, sizes, density
         queries = [*stored, *near[0], *near[1], *fresh, np.zeros(64)]
         assert len(index) == len(reference._entries)
         for q in queries:
-            assert index.candidates(q) == reference.candidates(q)
+            assert index.candidates(q).tolist() == reference.candidates(q)
             for tau in (0.5, 0.9, 1.0 - 1e-12):
                 assert index.match(q, tau) == reference.match(q, tau)
         for frame_idx, vector in enumerate(stored):
@@ -376,7 +393,35 @@ def test_inserts_stack_once_before_a_query():
     sigs += [_sig(f"w{i}", rng.uniform(0.1, 1.0, size=(n, 64))) for i, n in enumerate([4, 0, 1])]
     for sig in sigs[5:]:
         index.insert(sig)
-    assert index.candidates(sigs[0].frames[0])[:1] == [0]
+    assert index.candidates(sigs[0].frames[0])[:1].tolist() == [0]
     frames = np.concatenate([sig.frames for sig in sigs])
     assert index._pending == [] and index._vectors.tobytes() == frames.tobytes()
-    assert index._keys.dtype == np.int64 and index._keys.tobytes() == index._band_keys(frames).tobytes()
+    assert index._keys.dtype == np.uint8 and index._keys.tobytes() == index._band_keys(frames).tobytes()
+
+
+def test_uint8_band_keys_equal_the_weighted_sign_bits():
+    # pins packbits' little bit order: bit i of a band's key is its i-th plane
+    rng = np.random.default_rng(12)
+    index = LshIndex(seed=6)
+    vectors = np.concatenate([rng.standard_normal((300, 64)), _census_like(rng, 300, 0.3)])
+    bits = (vectors @ index.planes.reshape(-1, 64).T) > 0.0
+    expected = bits.reshape(len(vectors), BANDS, BITS) @ (1 << np.arange(BITS))
+    keys = index._band_keys(vectors)
+    assert keys.dtype == np.uint8 and keys.shape == (len(vectors), BANDS)
+    assert keys.tolist() == expected.tolist()
+    assert index.keys(vectors[5]).tolist() == expected[5].tolist()
+
+
+def test_a_row_sharing_one_band_in_any_byte_lane_is_a_candidate():
+    # row b shares only band b with the query; each other band differs in one
+    # bit, so every band key's byte in both 64-bit words of the test is covered
+    index = LshIndex(seed=9)
+    query = np.random.default_rng(13).uniform(0.1, 1.0, size=64)
+    qkeys = index.keys(query)
+    one_bit_off = qkeys ^ (1 << (np.arange(BANDS) % BITS)).astype(np.uint8)
+    rows = [np.where(np.arange(BANDS) == band, qkeys, one_bit_off) for band in range(BANDS)]
+    rows.insert(7, one_bit_off)  # shares no band
+    index._keys = np.stack(rows)
+    assert [(index._keys[k] == qkeys).sum() for k in range(len(rows))] == [1] * 7 + [0] + [1] * 9
+    found = index.candidates(query)
+    assert found.dtype == np.int64 and found.tolist() == [k for k in range(len(rows)) if k != 7]
