@@ -24,6 +24,7 @@ from .probe import ProbeMode, load_features, load_probe, save_probe, train_probe
 from .records import (
     LabelKind,
     ValidationError,
+    check_count,
     label_histogram,
     load_corpus,
     load_label_space,
@@ -155,8 +156,7 @@ def _cmd_inflate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_inflation(args: argparse.Namespace) -> int:
-    if args.size < 1:
-        raise ValidationError(f"size must be >= 1, got {args.size}")
+    check_count(args.size, "size")
     net = load_net(args.net)
     if not net.is_2d():
         raise ValidationError(f"{args.net}: verify-inflation needs a net of 2D conv layers")

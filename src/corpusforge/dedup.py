@@ -17,19 +17,13 @@ from typing import Iterable
 
 from ._lazy import np
 from .census import SIGNATURE_DIM, SignatureSequence, cosine
-from .records import ValidationError, write_file
+from .records import ValidationError, check_real, write_file
 from .rng import make_rng
 
 BANDS = 16
 BITS = 8
 DEFAULT_TAU = 0.9
 DEFAULT_THRESHOLD_PCT = 20.0
-
-
-def _check_tau(tau: float) -> None:
-    """The cosine threshold rule of every entry point: finite, in [-1, 1]."""
-    if not -1.0 <= tau <= 1.0:
-        raise ValidationError(f"tau must be finite and in [-1, 1], got {tau}")
 
 
 class LshIndex:
@@ -77,22 +71,13 @@ class LshIndex:
         self._pending.append((sig.frames, self._band_keys(sig.frames)))
 
     def _stack(self) -> None:
-        """Copy the stacked rows, then each pending block in insert order, into
-        one new array each for vectors and keys, dropping each block once it is
-        copied rather than concatenating while the list holds every block."""
-        if not self._pending:
-            return
-        done = len(self._vectors)
-        vectors = np.empty((len(self._entries), SIGNATURE_DIM), dtype=np.float64)
-        keys = np.empty((len(self._entries), BANDS), dtype=np.uint8)
-        vectors[:done], keys[:done] = self._vectors, self._keys
-        self._vectors, self._keys = vectors, keys
-        pending, self._pending = self._pending[::-1], []
-        while pending:
-            block_vectors, block_keys = pending.pop()
-            vectors[done : done + len(block_vectors)] = block_vectors
-            keys[done : done + len(block_keys)] = block_keys
-            done += len(block_vectors)
+        """Append the blocks inserted since the last query to the stacked rows,
+        in insert order, with one concatenation each for vectors and keys."""
+        if self._pending:
+            vectors, keys = zip(*self._pending)
+            self._vectors = np.concatenate((self._vectors, *vectors))
+            self._keys = np.concatenate((self._keys, *keys))
+            self._pending = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -108,7 +93,7 @@ class LshIndex:
 
     def match(self, vector: np.ndarray, tau: float = DEFAULT_TAU) -> list[tuple[str, int]]:
         """Candidates verified by exact cosine >= tau, with one cosine for all."""
-        _check_tau(tau)
+        check_real(tau, "tau", -1.0, 1.0)
         found = self.candidates(vector)  # stacks pending inserts into _vectors
         sims = cosine(vector, self._vectors.take(found, axis=0))
         return [self._entries[i] for i in found[sims >= tau].tolist()]
@@ -124,8 +109,7 @@ def build_index(targets: Iterable[SignatureSequence], seed: int = 0) -> LshIndex
 def overlap(
     source: SignatureSequence, index: LshIndex, tau: float = DEFAULT_TAU
 ) -> list[tuple[str, float]]:
-    """Per-target overlap: % of source frames with >= 1 match in the target."""
-    _check_tau(tau)
+    """Per-target overlap: % of source frames with >= 1 match in the target; match checks tau."""
     if len(source) == 0:
         raise ValidationError(f"source {source.video_id!r} has no frames")
     matched_frames: dict[str, set[int]] = {}
@@ -170,9 +154,8 @@ def dedup_report(
     """Measure every source against an LSH index of all targets, with
     hyperplanes seeded by ``seed``.  No iterable is read before the checks
     pass; then each target and each source is read once, in that order."""
-    _check_tau(tau)
-    if not 0.0 <= threshold_pct <= 100.0:
-        raise ValidationError(f"threshold_pct must be finite and in [0, 100], got {threshold_pct}")
+    tau = check_real(tau, "tau", -1.0, 1.0)
+    threshold_pct = check_real(threshold_pct, "threshold_pct", 0.0, 100.0)
     index = build_index(targets, seed=seed)
     pairs, source_ids = [], []
     for source in sources:  # a source's signatures are dropped once measured

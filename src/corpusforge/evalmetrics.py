@@ -5,7 +5,7 @@ import math
 
 from ._lazy import np
 from .netops import check_elements
-from .records import LabelSpace, ValidationError, VideoRecord, assign_labels, matches_by_video
+from .records import LabelSpace, ValidationError, VideoRecord, assign_labels, check_count, matches_by_video
 
 
 def assign_single_label(video: VideoRecord, space: LabelSpace, seed: int) -> str:
@@ -34,10 +34,9 @@ def uniform_clip_starts(
     segments and each clip starts at its segment's midpoint.  A single clip
     is centered either way.  Rounding is half-up for determinism.
     """
-    if n_clips < 1:
-        raise ValidationError("n_clips must be >= 1")
+    check_count(n_clips, "n_clips")
     check_elements(n_clips, "clip starts")
-    if clip_len < 1 or clip_len > num_frames:
+    if check_count(clip_len, "clip_len") > check_count(num_frames, "num_frames"):
         raise ValidationError(
             f"clip_len {clip_len} must be in 1..num_frames ({num_frames})"
         )
@@ -85,7 +84,7 @@ def accuracy_topk(preds: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     if scores.ndim != 2 or scores.shape[0] != y.shape[0]:
         raise ValidationError(f"preds {scores.shape} do not align with labels {y.shape}")
     classes = scores.shape[1]
-    if not 1 <= k <= classes:
+    if check_count(k, "k") > classes:
         raise ValidationError(f"k={k} out of range 1..{classes}")
     check_class_ids(y, classes, "labels")
     order = np.argsort(-scores, axis=1, kind="stable")  # stable: ties keep class order

@@ -11,7 +11,6 @@ built and every layer computes only the slices the next one reads.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from ._lazy import np
@@ -24,12 +23,7 @@ from .netops import (
     check_elements,
     same_padding,
 )
-from .records import ValidationError
-
-
-def _check_extent(k: int) -> None:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"temporal extent k must be an integer >= 1, got {k!r}")
+from .records import ValidationError, check_count, check_real
 
 
 def inflate(weights2d: np.ndarray, k: int, normalize: bool = True) -> np.ndarray:
@@ -37,8 +31,8 @@ def inflate(weights2d: np.ndarray, k: int, normalize: bool = True) -> np.ndarray
     w = np.asarray(weights2d, dtype=np.float64)
     if w.ndim != 4:
         raise ValidationError(f"expected (out,in,h,w) weights, got {w.shape}")
-    _check_extent(k)
-    check_elements(w.size * int(k), "inflated weights")
+    k = check_count(k, "temporal extent k")
+    check_elements(w.size * k, "inflated weights")
     out = np.repeat(w[:, :, None, :, :], k, axis=2)
     if normalize:
         out = out / k
@@ -51,8 +45,8 @@ def inflate_net(net2d: NetSpec, k: int, normalize: bool = True) -> NetSpec:
     Inflated convs use same-padding in time so the layer count and the
     temporal length are both preserved.
     """
-    _check_extent(k)  # also for a net without convs, where inflate() never runs
-    check_elements(sum(np.size(l.weights) for l in net2d.conv_layers()) * int(k), "inflated weights")
+    k = check_count(k, "temporal extent k")  # also for a net without convs, where inflate() never runs
+    check_elements(sum(np.size(l.weights) for l in net2d.conv_layers()) * k, "inflated weights")
     layers = []
     for layer in net2d.layers:
         if isinstance(layer, Conv3dLayer):
@@ -110,8 +104,7 @@ def inflation_equivalence(
     that position alone, with no zero time-padding anywhere; outputs are
     compared there (global pooling, when present, averages only over it).
     """
-    if not 0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    check_real(tol, "tol", 0.0)
     x2d = np.asarray(x2d, dtype=np.float64)
     if x2d.ndim != 3:
         raise ValidationError(f"x2d must be a (c, h, w) image, got shape {x2d.shape}")

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Union
 
 from ._lazy import np
-from .records import ValidationError, read_json, read_object, write_file
+from .records import ValidationError, check_count, read_json, read_object, write_file
 from .tensor import load_weights, save_weights
 
 
@@ -56,10 +56,7 @@ def _conv(name: str, x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None
         raise ValidationError(f"{name} shapes: x {x.shape}, w {w.shape}")
     if x.shape[0] != w.shape[1]:
         raise ValidationError(f"{name} channel mismatch: input {x.shape[0]}, kernel {w.shape[1]}")
-    if not isinstance(stride, (int, np.integer)):
-        raise ValidationError(f"{name} stride must be an integer, got {stride!r}")
-    if stride < 1:
-        raise ValidationError(f"{name} stride must be >= 1, got {stride}")
+    check_count(stride, f"{name} stride")
     if bias is not None and np.shape(bias) != w.shape[:1]:
         raise ValidationError(f"{name} bias shape {np.shape(bias)}, expected ({w.shape[0]},)")
     kernel = w.shape[2:]
@@ -208,8 +205,8 @@ class NetSpec:
                 if type(value) is not type(flag.default):
                     kind = type(flag.default).__name__
                     raise ValidationError(f"layer {i}: {flag.name} must be {kind}, got {value!r}")
-            if conv and layer.stride < 1:
-                raise ValidationError(f"layer {i}: stride must be >= 1")
+            if conv:
+                check_count(layer.stride, f"layer {i}: stride")
             ndim = {Conv2dLayer: 4, Conv3dLayer: 5, DenseLayer: 2}[type(layer)]
             if np.ndim(layer.weights) != ndim:
                 raise ValidationError(

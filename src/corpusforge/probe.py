@@ -34,7 +34,7 @@ from pathlib import Path
 
 from ._lazy import np
 from .evalmetrics import check_class_ids
-from .records import ValidationError, read_exact, write_file
+from .records import ValidationError, check_count, check_real, read_exact, write_file
 
 _CFFT_MAGIC = b"CFFT"
 _CFFT_HEADER = struct.Struct("<4sII")
@@ -216,17 +216,15 @@ def train_probe(
     point raises.  Deterministic for a given numpy/BLAS build and thread
     count.
     """
-    if step is not None and not step > 0:
-        raise ValidationError(f"step must be > 0, got {step}")
-    if not 0 <= l2_lambda < math.inf:
-        raise ValidationError(f"l2_lambda must be finite and >= 0, got {l2_lambda}")
+    if step is not None:
+        check_real(step, "step", 0.0, open_ends=True)
+    check_real(l2_lambda, "l2_lambda", 0.0)
+    check_count(iters, "iters", 0)
     if l2_lambda >= L2_LIMIT:
         raise ValidationError(f"l2_lambda must be < 2**1023, got {l2_lambda}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")
-    if iters < 0:
-        raise ValidationError(f"iters must be >= 0, got {iters}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("features contain non-finite values")
     if mode is ProbeMode.SOFTMAX_MULTICLASS:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -23,6 +25,38 @@ from .rng import first_integers
 
 class ValidationError(ValueError):
     """Raised when a record or file violates a structural invariant."""
+
+
+def check_count(value: object, name: str, low: int = 1) -> int:
+    """The one count rule (a seed's is ``rng.check_seed``): ``value`` is an
+    integer >= ``low``, an ``int`` or anything ``operator.index`` takes
+    (``np.int64``), never a ``bool``.  Returns it as an ``int``."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
+
+
+def check_real(
+    value: object, name: str, low: float, high: float = math.inf, *, open_ends: bool = False
+) -> float:
+    """The one real-number rule: ``value`` is finite and in [low, high], or in
+    (low, high) with ``open_ends``; an ``int``, ``float`` or other ``numbers.Real``
+    (``np.float64``), never a ``bool``.  Returns it as a ``float``."""
+    try:
+        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int beyond the float range
+        real = math.nan
+    if not (math.isfinite(real) and (low < real < high if open_ends else low <= real <= high)):
+        if high == math.inf:
+            where = f"{'>' if open_ends else '>='} {low:g}"
+        else:
+            where = f"in {'(' if open_ends else '['}{low:g}, {high:g}{')' if open_ends else ']'}"
+        raise ValidationError(f"{name} must be finite and {where}, got {value!r}")
+    return real
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +220,7 @@ class LabelSpace:
     min_count: int = 50
 
     def __post_init__(self) -> None:
-        if self.min_count < 1:
-            raise ValidationError("min_count must be >= 1")
+        object.__setattr__(self, "min_count", check_count(self.min_count, "min_count"))
         frozen = {}
         for label, tags in self.entries.items():
             tagset = _hashtag_set(tags, "label", label)
@@ -395,15 +428,12 @@ def load_label_space(path: str | Path) -> LabelSpace:
         raise ValidationError(f"{path}: entries must be a JSON object, got {obj['entries']!r}")
     if not isinstance(obj["name"], str):
         raise ValidationError(f"{path}: name must be a string, got {obj['name']!r}")
-    min_count = obj["min_count"]
-    if not isinstance(min_count, int) or isinstance(min_count, bool):
-        raise ValidationError(f"{path}: min_count must be an integer, got {min_count!r}")
     try:
         return LabelSpace(
             name=obj["name"],
             kind=LabelKind(obj["kind"]),
             entries=obj["entries"],
-            min_count=min_count,
+            min_count=obj["min_count"],
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc

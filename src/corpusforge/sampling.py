@@ -28,6 +28,7 @@ from .records import (
     ValidationError,
     VideoRecord,
     assigned_pools,
+    check_count,
     matches_by_video,
 )
 from .rng import check_seed, make_rng
@@ -46,8 +47,7 @@ class SamplingPlan:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValidationError("budget must be >= 1")
+        check_count(self.budget, "budget")
         check_seed(self.seed)
 
 
@@ -226,7 +226,7 @@ def subset_labels(space: LabelSpace, k: int, seed: int) -> LabelSpace:
     its k-prefix, so subset(k1) is contained in subset(k2) whenever k1 <= k2.
     """
     labels = sorted(space.entries)
-    if not 1 <= k <= len(labels):
+    if check_count(k, "k") > len(labels):
         raise ValidationError(f"k={k} out of range 1..{len(labels)}")
     perm = make_rng(seed, "subset").permutation(len(labels))
     kept = {labels[int(i)] for i in perm[:k]}

@@ -8,12 +8,11 @@ halvings) the final plateau rate is 0.192 / 2^13 = 2.34375e-5.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .netops import check_elements
-from .records import ValidationError, write_file
+from .records import ValidationError, check_count, check_real, write_file
 
 DEFAULT_BASE_LR = 0.192
 DEFAULT_REDUCTIONS = 13
@@ -55,12 +54,11 @@ def lr_schedule(
     plateaus whose lengths differ by at most one (longer plateaus first);
     plateau i runs at base_lr * factor**i.
     """
-    if not 0 < base_lr < math.inf:
-        raise ValidationError(f"base_lr must be finite and > 0, got {base_lr}")
-    if not 0.0 < factor < 1.0:
-        raise ValidationError("factor must be in (0, 1) for downward steps")
-    if warmup_iters < 0 or num_reductions < 0:
-        raise ValidationError("warmup_iters and num_reductions must be >= 0")
+    base_lr = check_real(base_lr, "base_lr", 0.0, open_ends=True)
+    factor = check_real(factor, "factor", 0.0, 1.0, open_ends=True)  # downward steps
+    warmup_iters = check_count(warmup_iters, "warmup_iters", 0)
+    total_iters = check_count(total_iters, "total_iters")
+    num_reductions = check_count(num_reductions, "num_reductions", 0)
     if total_iters <= warmup_iters:
         raise ValidationError("total_iters must exceed warmup_iters")
     check_elements(total_iters, "schedule values")

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .manifest import DatasetManifest, ManifestRow
-from .records import LabelSpace, ValidationError, VideoRecord, assigned_pools
+from .records import LabelSpace, ValidationError, VideoRecord, assigned_pools, check_count, check_real
 from .rng import make_rng
 
 CENTER_WINDOW_S = 4.0
@@ -30,8 +30,9 @@ class ClipSpec:
     len_s: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.len_s <= 0:
-            raise ValidationError("clip must have start >= 0 and length > 0")
+        # inline, not check_real: one ClipSpec is built per manifest row
+        if not (0 <= self.start_s < math.inf and 0 < self.len_s < math.inf):
+            raise ValidationError("clip must have a finite start >= 0 and a finite length > 0")
 
 
 class LengthClass(enum.Enum):
@@ -54,13 +55,11 @@ class BudgetPlan:
 
     def __post_init__(self) -> None:
         if self.mode is BudgetMode.FIXED_COUNT:
-            if self.count is None or self.count < 1:
-                raise ValidationError("fixed-count plan needs count >= 1")
+            check_count(self.count, "count")
             if self.total_minutes is not None:
                 raise ValidationError("fixed-count plan takes no total_minutes")
         else:
-            if self.total_minutes is None or not 0 < self.total_minutes < math.inf:
-                raise ValidationError("fixed-duration plan needs finite total_minutes > 0")
+            check_real(self.total_minutes, "total_minutes", 0.0, open_ends=True)
             if self.count is not None:
                 raise ValidationError("fixed-duration plan takes no count")
 
@@ -72,12 +71,14 @@ def jitter_clip(
     window: tuple[float, float] | None = None,
 ) -> ClipSpec:
     """Uniform random clip start within the video (or a restricting window)."""
-    if clip_len_s <= 0:
-        raise ValidationError("clip_len_s must be > 0")
+    check_real(duration_s, "duration_s", 0.0, open_ends=True)
+    check_real(clip_len_s, "clip_len_s", 0.0, open_ends=True)
     if clip_len_s > duration_s:
         raise ValidationError(f"clip {clip_len_s}s longer than video {duration_s}s")
     lo, hi = (0.0, duration_s) if window is None else window
-    if lo < 0 or hi > duration_s + 1e-9 or hi - lo < clip_len_s:
+    check_real(lo, "window start", 0.0)
+    check_real(hi, "window end", 0.0)
+    if hi > duration_s + 1e-9 or hi - lo < clip_len_s:
         raise ValidationError(f"window ({lo}, {hi}) infeasible for clip {clip_len_s}s")
     span = hi - clip_len_s - lo
     start = lo + float(make_rng(seed).random()) * span

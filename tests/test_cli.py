@@ -434,7 +434,7 @@ def one_line_error_inputs(pipeline_files):
     save_raw_frames(ramp_video("orig", list(range(4))), videos / "orig.cfvd")
     dedup = ["dedup", "--sources", str(videos), "--targets", str(videos), "-o", str(tmp_path / "report")]
     return {
-        "probe": ["probe", "train", "--features", str(feat), "--mode", "softmax", "--step", "inf",
+        "probe": ["probe", "train", "--features", str(feat), "--mode", "softmax", "--step", "1e308",
                   "-o", str(tmp_path / "p.npz")],
         "tau": dedup + ["--tau", "nan"],
         "threshold": dedup + ["--threshold", "nan"],
@@ -448,7 +448,7 @@ _ONE_LINE_ERRORS = {
     "probe": "error: non-finite loss at iteration 1",
     "tau": "error: tau must be finite and in [-1, 1], got nan",
     "threshold": "error: threshold_pct must be finite and in [0, 100], got nan",
-    "select": "error: fixed-duration plan needs finite total_minutes > 0",
+    "select": "error: total_minutes must be finite and > 0, got nan",
 }
 
 
@@ -478,7 +478,7 @@ _OUT_OF_RANGE = {
     "tol": (["verify-inflation", "--net", "{net}", "--k", "3", "--tol", "nan"],
             "error: tol must be finite and >= 0, got nan"),
     "step": (["probe", "train", "--features", "{feat}", "--mode", "softmax", "--step", "-1", "--iters", "3",
-              "-o", "{out}"], "error: step must be > 0, got -1.0"),
+              "-o", "{out}"], "error: step must be finite and > 0, got -1.0"),
 }
 
 
@@ -498,8 +498,8 @@ def test_module_entry_point_rejects_out_of_range_numbers_in_one_line(tmp_path, c
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--size", "-1", "error: size must be >= 1, got -1"),
-    ("--size", "0", "error: size must be >= 1, got 0"),
+    ("--size", "-1", "error: size must be an integer >= 1, got -1"),
+    ("--size", "0", "error: size must be an integer >= 1, got 0"),
     ("--seed", "-1", "error: seed must be an integer in [0, 2**64), got -1"),
 ])
 def test_verify_inflation_rejects_a_bad_size_or_seed_in_one_line(tmp_path, flag, value, message):
@@ -523,8 +523,8 @@ _SEED_RULE = "error: seed must be an integer in [0, 2**64), got "
     ("dedup", ["--threshold", "500"], "error: threshold_pct must be finite and in [0, 100], got 500.0"),
     ("dedup", ["--threshold", "-1"], "error: threshold_pct must be finite and in [0, 100], got -1.0"),
     ("sample", ["--seed", "-1"], _SEED_RULE + "-1"),
-    ("select", ["--mode", "f1"], "error: fixed-count plan needs count >= 1"),
-    ("select", ["--mode", "f2"], "error: fixed-duration plan needs finite total_minutes > 0"),
+    ("select", ["--mode", "f1"], "error: count must be an integer >= 1, got None"),
+    ("select", ["--mode", "f2"], "error: total_minutes must be finite and > 0, got None"),
     ("select", ["--mode", "f1", "--count", "5", "--minutes", "3"], "error: fixed-count plan takes no total_minutes"),
     ("select", ["--mode", "f2", "--minutes", "3", "--count", "5"], "error: fixed-duration plan takes no count"),
 ], ids=["dedup-seed-neg", "dedup-seed-2**64", "tau-neg", "tau-above-1", "threshold-above-100",

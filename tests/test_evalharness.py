@@ -325,7 +325,7 @@ def test_multilabel_features_hold_only_0_or_1(tmp_path):
 
 def test_probe_rejects_negative_iters():
     x, y = np.eye(2), np.array([0, 1])
-    with pytest.raises(ValidationError, match="iters must be >= 0"):
+    with pytest.raises(ValidationError, match="^iters must be an integer >= 0, got -5$"):
         train_probe(x, y, ProbeMode.SOFTMAX_MULTICLASS, iters=-5)
     assert train_probe(x, y, ProbeMode.SOFTMAX_MULTICLASS, iters=0).final_loss == math.log(2)
 
@@ -338,7 +338,7 @@ def test_probe_overflow_raises_without_warnings(mode):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="non-finite loss at iteration 1"):
-            train_probe(x, y, mode, iters=5, step=math.inf)
+            train_probe(x, y, mode, iters=5, step=1e308)
 
 
 # The loss and training loop as they were before the gather/scatter rewrite:
@@ -620,9 +620,10 @@ def test_train_probe_reports_a_non_finite_gradient_norm_as_a_non_finite_loss(mod
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"step": -1.0}, "step must be > 0, got -1.0"),
-        ({"step": 0.0}, "step must be > 0, got 0.0"),
-        ({"step": math.nan}, "step must be > 0, got nan"),
+        ({"step": -1.0}, "step must be finite and > 0, got -1.0"),
+        ({"step": 0.0}, "step must be finite and > 0, got 0.0"),
+        ({"step": math.nan}, "step must be finite and > 0, got nan"),
+        ({"step": math.inf}, "step must be finite and > 0, got inf"),
         ({"l2_lambda": -1.0}, "l2_lambda must be finite and >= 0, got -1.0"),
         ({"l2_lambda": math.nan}, "l2_lambda must be finite and >= 0, got nan"),
         ({"l2_lambda": math.inf}, "l2_lambda must be finite and >= 0, got inf"),

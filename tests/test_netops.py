@@ -41,14 +41,14 @@ def test_conv_rejects_a_stride_that_is_not_an_integer(name, stride):
     conv, x, w = _CASES[name]
     with pytest.raises(ValidationError) as info:
         conv(x, w, stride=stride)
-    assert str(info.value) == f"{name} stride must be an integer, got {stride!r}"
+    assert str(info.value) == f"{name} stride must be an integer >= 1, got {stride!r}"
     assert conv(x, w, stride=np.int64(2)).shape == conv(x, w, stride=2).shape
 
 
 @pytest.mark.parametrize("name", sorted(_CASES))
 def test_conv_keeps_the_message_for_a_stride_below_one(name):
     conv, x, w = _CASES[name]
-    with pytest.raises(ValidationError, match=f"^{name} stride must be >= 1, got 0$"):
+    with pytest.raises(ValidationError, match=f"^{name} stride must be an integer >= 1, got 0$"):
         conv(x, w, stride=0)
 
 

@@ -11,6 +11,7 @@ from corpusforge.records import LabelKind, LabelSpace, ValidationError, VideoRec
 from corpusforge.temporal import (
     BudgetMode,
     BudgetPlan,
+    ClipSpec,
     LengthClass,
     _count_quotas,
     build_length_class,
@@ -55,6 +56,26 @@ def test_jitter_infeasible_window():
         jitter_clip(10.0, 4.0, seed=0, window=(8.0, 10.0))
     with pytest.raises(ValidationError):
         jitter_clip(3.0, 4.0, seed=0)
+
+
+@pytest.mark.parametrize("start_s, len_s", [
+    (np.nan, 1.0), (np.inf, 1.0), (-1.0, 1.0), (0.0, np.nan), (1.0, np.inf), (0.0, 0.0), (0.0, -1.0),
+])
+def test_clip_needs_a_finite_start_and_length(start_s, len_s):
+    with pytest.raises(ValidationError, match="^clip must have a finite start >= 0 and a finite length > 0$"):
+        ClipSpec(start_s, len_s)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((np.nan, 1.0, None), "duration_s"),
+    ((4.0, np.nan, None), "clip_len_s"),
+    ((4.0, 1.0, (np.nan, 3.0)), "window start"),
+    ((4.0, 1.0, (0.0, np.nan)), "window end"),
+])
+def test_jitter_rejects_a_nan_duration_clip_length_or_window(args, name):
+    duration_s, clip_len_s, window = args
+    with pytest.raises(ValidationError, match=f"^{name} must be finite and "):
+        jitter_clip(duration_s, clip_len_s, seed=0, window=window)
 
 
 def test_jitter_deterministic():
@@ -157,7 +178,7 @@ def test_f2_duration_bounds():
 
 @pytest.mark.parametrize("minutes", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, None])
 def test_f2_plan_needs_finite_positive_minutes(minutes):
-    with pytest.raises(ValidationError, match="finite total_minutes > 0"):
+    with pytest.raises(ValidationError, match=f"^total_minutes must be finite and > 0, got {minutes}$"):
         BudgetPlan(BudgetMode.FIXED_DURATION, LengthClass.SHORT, total_minutes=minutes)
 
 

@@ -312,9 +312,9 @@ def test_each_public_conv_runs_the_kernel_once(monkeypatch):
 
 @pytest.mark.parametrize("stride", [0, -1])
 def test_conv_rejects_a_stride_below_one(stride):
-    with pytest.raises(ValidationError, match=f"conv2d stride must be >= 1, got {stride}"):
+    with pytest.raises(ValidationError, match=f"^conv2d stride must be an integer >= 1, got {stride}$"):
         conv2d_forward(np.ones((1, 4, 4)), np.ones((1, 1, 2, 2)), stride=stride)
-    with pytest.raises(ValidationError, match=f"conv3d stride must be >= 1, got {stride}"):
+    with pytest.raises(ValidationError, match=f"^conv3d stride must be an integer >= 1, got {stride}$"):
         conv3d_forward(np.ones((1, 2, 4, 4)), np.ones((1, 1, 2, 2, 2)), stride=stride)
 
 
