@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._lazy import np
-from .records import ValidationError, read_exact, write_file
+from .records import ValidationError, check_count, read_exact, write_file
 
 SIGNATURE_DIM = 64
 DEFAULT_FPS = 16.0
@@ -93,10 +93,12 @@ def to_grayscale(frame: np.ndarray) -> np.ndarray:
     raise ValidationError(f"expected (h,w) or (h,w,3) frame, got {frame.shape}")
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)  # typed: True or 1.0 must not hit the entry for 1
 def _resize_plan(in_h: int, in_w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
     """Source rows (y0 then y1), source columns (x0 then x1) and the weights
-    wy, 1 - wy, wx, 1 - wx of one resize shape; read-only, shared by calls."""
+    wy, 1 - wy, wx, 1 - wx of one resize shape; read-only, shared by calls.
+    The output size is checked here, once per shape."""
+    out_h, out_w = check_count(out_h, "out_h"), check_count(out_w, "out_w")
     ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)

@@ -155,6 +155,7 @@ def fcn_transform(net: NetSpec) -> NetSpec:
 
 def scale_shortest_edge(dims: tuple[int, int], target: int = 128) -> tuple[int, int]:
     """Scale (h, w) so the shortest edge hits the target, keeping aspect."""
+    target = check_count(target, "target")
     h, w = dims
     if h < 1 or w < 1:
         raise ValidationError(f"bad frame dims {dims}")
@@ -165,6 +166,7 @@ def scale_shortest_edge(dims: tuple[int, int], target: int = 128) -> tuple[int, 
 
 def center_crop_box(dims: tuple[int, int], size: int = 128) -> tuple[int, int, int, int]:
     """(top, left, height, width) of the centered size x size window."""
+    size = check_count(size, "size")
     h, w = dims
     if h < size or w < size:
         raise ValidationError(f"cannot crop {size}x{size} from {dims}")

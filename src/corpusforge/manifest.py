@@ -17,7 +17,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .records import ValidationError, VideoRecord, read_jsonl, read_lines, read_object, write_file
+from .records import ValidationError, VideoRecord, _real, read_jsonl, read_lines, read_object, write_file
 from .rng import check_seed
 
 FORMAT_TAG = "corpusforge-manifest-v1"
@@ -29,7 +29,7 @@ _ROUNDING_SLACK = 2 * 0.5e-6 + 1e-9  # each of a row's two times rounds by up to
 
 def _q(x: float) -> float:
     # 6-decimal quantization; normalizes -0.0 so formatting is stable
-    v = round(float(x), 6)
+    v = round(x, 6)
     return 0.0 if v == 0.0 else v
 
 
@@ -43,20 +43,18 @@ class ManifestRow:
     def __post_init__(self) -> None:
         if not isinstance(self.video_id, str) or not isinstance(self.label, str):
             raise ValidationError(f"row {self.video_id!r}: video_id and label must be strings")
-        object.__setattr__(self, "clip_start_s", _q(self.clip_start_s))
-        object.__setattr__(self, "clip_len_s", _q(self.clip_len_s))
-        if not (math.isfinite(self.clip_start_s) and math.isfinite(self.clip_len_s)):
+        # the number rule first, then the quantized times' ranges
+        start, length = _q(_real(self.clip_start_s)), _q(_real(self.clip_len_s))
+        if not 0 <= start < math.inf:
             raise ValidationError(
-                f"row for video {self.video_id!r}: clip times must be finite"
+                f"row for video {self.video_id!r}: clip_start_s must be finite and >= 0, got {self.clip_start_s!r}"
             )
-        if self.clip_start_s < 0:
+        if not 0 < length < math.inf:
             raise ValidationError(
-                f"row for video {self.video_id!r}: clip_start_s < 0"
+                f"row for video {self.video_id!r}: clip_len_s must be finite and > 0, got {self.clip_len_s!r}"
             )
-        if self.clip_len_s <= 0:
-            raise ValidationError(
-                f"row for video {self.video_id!r}: clip_len_s must be > 0"
-            )
+        object.__setattr__(self, "clip_start_s", start)
+        object.__setattr__(self, "clip_len_s", length)
 
 
 @dataclass
@@ -155,15 +153,8 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     for lineno, obj in read_jsonl(path, lines, _ROW_FIELDS, _ROW_FIELDS):
         linenos.append(lineno)
         try:
-            rows.append(
-                ManifestRow(
-                    video_id=obj["video_id"],
-                    label=obj["label"],
-                    clip_start_s=float(obj["clip_start_s"]),
-                    clip_len_s=float(obj["clip_len_s"]),
-                )
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            rows.append(ManifestRow(obj["video_id"], obj["label"], obj["clip_start_s"], obj["clip_len_s"]))
+        except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     _check_unique_rows(rows, lambda i: f"{path}:{linenos[i]}: ")
     return DatasetManifest(rows=rows, provenance=provenance, seed=seed)

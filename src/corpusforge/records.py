@@ -40,16 +40,29 @@ def check_count(value: object, name: str, low: int = 1) -> int:
     return count
 
 
+def _real(value: object) -> float:
+    """The one number rule, for arguments and file fields: ``value`` as a
+    ``float`` when it is an exact ``float`` or ``int``, or another
+    ``numbers.Real`` (``np.float64``) but not a ``bool``; otherwise nan, as
+    for an int beyond the float range, so that it fails any range test."""
+    kind = type(value)
+    if kind is float:
+        return value
+    if kind is int or (kind is not bool and isinstance(value, numbers.Real)):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.nan
+    return math.nan
+
+
 def check_real(
     value: object, name: str, low: float, high: float = math.inf, *, open_ends: bool = False
 ) -> float:
-    """The one real-number rule: ``value`` is finite and in [low, high], or in
-    (low, high) with ``open_ends``; an ``int``, ``float`` or other ``numbers.Real``
-    (``np.float64``), never a ``bool``.  Returns it as a ``float``."""
-    try:
-        real = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:  # an int beyond the float range
-        real = math.nan
+    """The one real-number rule for arguments: ``value`` is a number by
+    :func:`_real`, finite and in [low, high], or in (low, high) with
+    ``open_ends``.  Returns it as a ``float``."""
+    real = _real(value)
     if not (math.isfinite(real) and (low < real < high if open_ends else low <= real <= high)):
         if high == math.inf:
             where = f"{'>' if open_ends else '>='} {low:g}"
@@ -171,20 +184,47 @@ class LabelKind(enum.Enum):
     VERB_NOUN = "verbnoun"
 
 
+def _hashtag(tag: object, owner: str, name: str) -> str:
+    """The one hashtag rule, for videos and labels: a string, returned
+    lowercased, not empty and holding no ``#`` or whitespace."""
+    if not isinstance(tag, str):
+        raise ValidationError(f"{owner} {name!r}: hashtags must be strings")
+    lower = tag.lower()
+    # split() != [lower]: empty, or contains a character str.isspace() accepts
+    if "#" in lower or lower.split() != [lower]:
+        raise ValidationError(f"{owner} {name!r}: bad hashtag {lower!r}")
+    return lower
+
+
 def _hashtag_set(tags: object, owner: str, name: str) -> frozenset[str]:
-    """The one hashtag rule, for videos and labels: a list of strings, each
-    lowercased, none empty or holding ``#`` or whitespace."""
+    """A list of hashtags, each checked by :func:`_hashtag` in list order, so
+    an error names the first bad one."""
     if isinstance(tags, (str, dict)):
         raise ValidationError(f"{owner} {name!r}: hashtags must be a list of strings")
     try:
-        tagset = frozenset(map(str.lower, tags))
-    except TypeError as exc:
-        raise ValidationError(f"{owner} {name!r}: hashtags must be strings") from exc
-    for tag in tagset:
-        # split() != [tag]: empty, or contains a character str.isspace() accepts
-        if "#" in tag or tag.split() != [tag]:
-            raise ValidationError(f"{owner} {name!r}: bad hashtag {tag!r}")
-    return tagset
+        return frozenset([_hashtag(tag, owner, name) for tag in tags])
+    except TypeError:  # tags that are not iterable
+        raise ValidationError(f"{owner} {name!r}: hashtags must be strings") from None
+
+
+def _video_fields(
+    video_id: object, duration_s: object, frame_rate: object, source_uri: object
+) -> tuple[float, float]:
+    """The one rule for a video's fields but its hashtags (:func:`_hashtag`'s),
+    for ``VideoRecord`` and :func:`load_corpus`: a non-empty string id,
+    ``duration_s`` and ``frame_rate`` finite numbers > 0 by :func:`_real`, a
+    null or string ``source_uri``.  Returns the two numbers as floats."""
+    if not isinstance(video_id, str) or not video_id:
+        raise ValidationError("video id must be a non-empty string")
+    duration = duration_s if type(duration_s) is float else _real(duration_s)  # _real's fast path, inline
+    rate = frame_rate if type(frame_rate) is float else _real(frame_rate)
+    if not 0 < duration < math.inf:
+        raise ValidationError(f"video {video_id!r}: duration_s must be finite and > 0, got {duration_s!r}")
+    if not 0 < rate < math.inf:
+        raise ValidationError(f"video {video_id!r}: frame_rate must be finite and > 0, got {frame_rate!r}")
+    if source_uri is not None and not isinstance(source_uri, str):
+        raise ValidationError(f"video {video_id!r}: source_uri must be a string")
+    return duration, rate
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,15 +238,9 @@ class VideoRecord:
     source_uri: str | None = None
 
     def __post_init__(self) -> None:
-        # _plain_record repeats these checks for load_corpus and must change with them
-        if not isinstance(self.id, str) or not self.id:
-            raise ValidationError("video id must be a non-empty string")
-        if not 0 < self.duration_s < math.inf:
-            raise ValidationError(f"video {self.id!r}: duration_s must be finite and > 0")
-        if not 0 < self.frame_rate < math.inf:
-            raise ValidationError(f"video {self.id!r}: frame_rate must be finite and > 0")
-        if self.source_uri is not None and not isinstance(self.source_uri, str):
-            raise ValidationError(f"video {self.id!r}: source_uri must be a string")
+        duration, rate = _video_fields(self.id, self.duration_s, self.frame_rate, self.source_uri)
+        object.__setattr__(self, "duration_s", duration)
+        object.__setattr__(self, "frame_rate", rate)
         object.__setattr__(self, "hashtags", _hashtag_set(self.hashtags, "video", self.id))
 
 
@@ -308,86 +342,45 @@ _CORPUS_FIELDS = frozenset({"id", "duration_s", "hashtags", "frame_rate", "sourc
 _CORPUS_REQUIRED = frozenset({"id", "duration_s"})
 
 
-_JSON_NUMBER = (float, int)  # exact types: a bool (an int subclass) goes to VideoRecord(...)
 # the slot setters, which a frozen VideoRecord's __setattr__ would refuse
 _set_id, _set_duration, _set_hashtags, _set_frame_rate, _set_uri = (
     VideoRecord.__dict__[name].__set__ for name in ("id", "duration_s", "hashtags", "frame_rate", "source_uri")
 )
 
 
-def _plain_record(obj: dict, checked: dict[str, str]) -> VideoRecord | None:
-    """``obj``'s record, built without ``VideoRecord.__init__``, when its id
-    is a non-empty string, its numbers are finite positive JSON numbers, its
-    ``source_uri`` null or a string and its hashtags a list of good strings;
-    otherwise None, and the caller builds ``VideoRecord(...)``, which raises
-    the line's error.
-
-    ``checked`` maps each raw hashtag met so far to its lowercase form, checked
-    once by :func:`_hashtag_set`, so records with equal raw tags share one
-    string object for each."""
-    video_id = obj["id"]
-    duration = obj["duration_s"]
-    tags = obj.get("hashtags", ())
-    frame_rate = obj.get("frame_rate", 16.0)
-    uri = obj.get("source_uri")
-    if not (
-        type(video_id) is str and video_id
-        and type(duration) in _JSON_NUMBER and type(frame_rate) in _JSON_NUMBER
-        and (uri is None or type(uri) is str) and type(tags) in (list, tuple)
-    ):
-        return None
-    try:
-        duration, frame_rate = float(duration), float(frame_rate)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    if not (0 < duration < math.inf and 0 < frame_rate < math.inf):
-        return None
-    for tag in tags:
-        if type(tag) is not str:  # before the lookup: a list or dict is unhashable
-            return None
-        if tag not in checked:
-            try:
-                (lower,) = _hashtag_set([tag], "video", video_id)
-            except ValidationError:  # VideoRecord names the bad tag it meets first
-                return None
-            checked[tag] = lower
-    rec = object.__new__(VideoRecord)
-    _set_id(rec, video_id)
-    _set_duration(rec, duration)
-    _set_hashtags(rec, frozenset([checked[tag] for tag in tags]))
-    _set_frame_rate(rec, frame_rate)
-    _set_uri(rec, uri)
-    return rec
-
-
 def load_corpus(path: str | Path) -> list[VideoRecord]:
     """Read a corpus JSONL file; duplicate ids are rejected.
 
-    A line whose fields pass every ``VideoRecord`` check is built by
-    :func:`_plain_record`, which checks and lowercases each distinct raw
-    hashtag once per load, so records with equal raw tags share one string
-    for each.  Any other line goes through ``VideoRecord(...)``, which raises
-    its error."""
+    Each line's raw JSON values go through the checks ``VideoRecord`` makes
+    (:func:`_video_fields`, :func:`_hashtag`); an error names
+    ``path:line``.  The record is then built through the slot setters, not
+    ``__init__``, which would check it again.  Each distinct raw hashtag is
+    checked and lowercased once per load, so records with equal raw tags
+    share one string for each."""
     records: list[VideoRecord] = []
     seen: set[str] = set()
     checked: dict[str, str] = {}
     lines = ((lineno, line.strip()) for lineno, line in read_lines(path))
     for lineno, obj in read_jsonl(path, lines, _CORPUS_FIELDS, _CORPUS_REQUIRED):
-        rec = _plain_record(obj, checked)
-        if rec is None:
-            try:
-                rec = VideoRecord(
-                    id=obj["id"],
-                    duration_s=float(obj["duration_s"]),
-                    hashtags=obj.get("hashtags", ()),
-                    frame_rate=float(obj.get("frame_rate", 16.0)),
-                    source_uri=obj.get("source_uri"),
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        if rec.id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate video id {rec.id!r}")
-        seen.add(rec.id)
+        video_id, tags, uri = obj["id"], obj.get("hashtags", ()), obj.get("source_uri")
+        try:
+            duration, frame_rate = _video_fields(video_id, obj["duration_s"], obj.get("frame_rate", 16.0), uri)
+            if type(tags) is not list:  # the default (), or a JSON value this rejects
+                _hashtag_set(tags, "video", video_id)
+            for tag in tags:
+                if type(tag) is not str or tag not in checked:  # before the lookup: a list tag is unhashable
+                    checked[tag] = _hashtag(tag, "video", video_id)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if video_id in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate video id {video_id!r}")
+        seen.add(video_id)
+        rec = object.__new__(VideoRecord)
+        _set_id(rec, video_id)
+        _set_duration(rec, duration)
+        _set_hashtags(rec, frozenset([checked[tag] for tag in tags]))
+        _set_frame_rate(rec, frame_rate)
+        _set_uri(rec, uri)
         records.append(rec)
     return records
 

@@ -186,9 +186,9 @@ def load_corpus_per_line(path):
         try:
             rec = VideoRecord(
                 id=obj["id"],
-                duration_s=float(obj["duration_s"]),
+                duration_s=obj["duration_s"],
                 hashtags=obj.get("hashtags", ()),
-                frame_rate=float(obj.get("frame_rate", 16.0)),
+                frame_rate=obj.get("frame_rate", 16.0),
                 source_uri=obj.get("source_uri"),
             )
         except (TypeError, ValueError, OverflowError) as exc:
@@ -231,8 +231,8 @@ def load_manifest_per_line(path):
                 ManifestRow(
                     video_id=obj["video_id"],
                     label=obj["label"],
-                    clip_start_s=float(obj["clip_start_s"]),
-                    clip_len_s=float(obj["clip_len_s"]),
+                    clip_start_s=obj["clip_start_s"],
+                    clip_len_s=obj["clip_len_s"],
                 )
             )
         except (TypeError, ValueError, OverflowError) as exc:

@@ -16,10 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusforge.census import SignatureSequence
+from corpusforge.census import SignatureSequence, bilinear_resize
 from corpusforge.dedup import LshIndex, dedup_report, overlap
 from corpusforge.evalmetrics import accuracy_topk, uniform_clip_starts
-from corpusforge.inflate import inflate, inflate_net, inflation_equivalence
+from corpusforge.inflate import (
+    center_crop,
+    center_crop_box,
+    inflate,
+    inflate_net,
+    inflation_equivalence,
+    scale_shortest_edge,
+)
 from corpusforge.netops import Conv2dLayer, NetSpec, conv2d_forward, conv3d_forward
 from corpusforge.probe import train_probe
 from corpusforge.records import (
@@ -97,6 +104,16 @@ _ENTRIES = {
     "inflation_equivalence": (
         lambda k, tol: inflation_equivalence(_net(), k, np.ones((1, 5, 5)), tol=tol),
         {"temporal extent k": ("count", 3, [0, -1]), "tol": ("real", 1e-5, [-1])},
+    ),
+    "scale_shortest_edge": (
+        lambda target: scale_shortest_edge((10, 20), target),
+        {"target": ("count", 8, [0, -1])},
+    ),
+    "center_crop_box": (lambda size: center_crop_box((10, 20), size), {"size": ("count", 4, [0, -1])}),
+    "center_crop": (lambda size: center_crop(np.ones((10, 20)), size), {"size": ("count", 4, [0, -1])}),
+    "bilinear_resize": (
+        lambda out_h, out_w: bilinear_resize(np.ones((6, 8)), out_h, out_w),
+        {"out_h": ("count", 3, [0, -1]), "out_w": ("count", 4, [0, -1])},
     ),
     "LshIndex.match": (
         lambda tau: _index().match(_sig().frames[0], tau),
@@ -180,6 +197,14 @@ def test_a_schedule_and_a_label_space_from_numpy_scalars_save_the_same_bytes(tmp
         save_label_space(_space(value), tmp_path / f"{name}.json")
     assert (tmp_path / "numpy").read_bytes() == (tmp_path / "python").read_bytes()
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+
+
+def test_a_cached_resize_plan_does_not_let_an_equal_bool_or_float_through():
+    frame = np.ones((6, 8))
+    assert bilinear_resize(frame, 1, 4).shape == (1, 4)
+    for out_h in [True, 1.0]:
+        with pytest.raises(ValidationError, match=r"^out_h must be an integer >= 1, got "):
+            bilinear_resize(frame, out_h, 4)
 
 
 def test_net_stride_keeps_its_json_type_and_takes_the_count_rule():

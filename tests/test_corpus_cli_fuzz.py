@@ -1,11 +1,13 @@
 """Input fuzzer for the commands that read a corpus: `labelspace build`,
 `corpus stats`, `sample`, `select` and `manifest validate --corpus`.
 
-Each run reads a small drawn corpus of valid lines and malformed ones.  Every
-run exits 0, 1 or 2; a non-zero exit prints exactly one stderr line, and no
-run prints a traceback or a numpy RuntimeWarning (warnings are errors here,
-so one would escape ``main`` and fail the test).  A command that writes a
-file writes it exactly when it exits 0.
+Each run reads a small drawn corpus of valid lines and malformed ones, with a
+`--min-count`, `--budget`, `--count` or `--minutes` drawn from valid numbers
+and from 0, -1, 1.5, nan, inf and 2**64.  Every run exits 0 or 2; a non-zero
+exit prints exactly one stderr line, and no run prints a traceback or a numpy
+RuntimeWarning (warnings are errors here, so one would escape ``main`` and
+fail the test).  A command that writes a file writes it exactly when it exits
+0.
 """
 from __future__ import annotations
 
@@ -80,46 +82,49 @@ _VALID_CORPUS = "".join(
     for i, tag in enumerate(["RopeJumping", "ropejumping", "guitarplaying", "JUMPINGROPE"])
 )
 _COMMANDS = ["labelspace", "stats", "sample", "select", "validate"]
+# the --min-count, --budget, --count or --minutes: valid ones, then numbers
+# argparse cannot read as an int or that a count or duration rule rejects
+_NUMBERS = ["3", "1", "100", "0.1", "0", "-1", "1.5", "nan", "inf", str(2**64)]
 
 
-def _argv(command: str, pick: int, root: Path, corpus: Path) -> tuple[list[str], Path | None]:
-    """The command's arguments, each option chosen by ``pick``, and the file
-    it writes (None for none)."""
+def _argv(command: str, pick: int, number: str, root: Path, corpus: Path) -> tuple[list[str], Path | None]:
+    """The command's arguments, each option chosen by ``pick`` and its count
+    or duration ``number``, and the file it writes (None for none)."""
     def option(options):
         return options[pick % len(options)]
 
     out = root / "out.json"
     space = ["--labelspace", str(root / "space.json")]
     if command == "labelspace":
-        min_count = option(["1", "2", "50", "0"])
         return ["labelspace", "build", "--seeds", str(root / "seeds.txt"), "--kind", "seed",
-                "--corpus", str(corpus), "--min-count", min_count, "-o", str(out)], out
+                "--corpus", str(corpus), "--min-count", number, "-o", str(out)], out
     if command == "stats":
         return ["corpus", "stats", str(corpus), *space], None
     if command == "sample":
         strategy = option(["random", "sqrt", "tail"])
-        budget = option(["3", "1", "100", "0"])
-        return ["sample", "--strategy", strategy, "--budget", budget, "--seed", "3",
+        return ["sample", "--strategy", strategy, "--budget", number, "--seed", "3",
                 "--corpus", str(corpus), *space, "-o", str(out)], out
     if command == "select":
         length_class = option(["short", "long", "long-center"])
-        budget = option([["--mode", "f1", "--count", "1"], ["--mode", "f2", "--minutes", "0.1"],
-                         ["--mode", "f1", "--count", "0"], ["--mode", "f2", "--minutes", "-1"]])
-        return ["select", "--class", length_class, *budget, "--seed", "3",
+        budget = option([["--mode", "f1", "--count"], ["--mode", "f2", "--minutes"]])
+        return ["select", "--class", length_class, *budget, number, "--seed", "3",
                 "--corpus", str(corpus), *space, "-o", str(out)], out
     return ["manifest", "validate", str(root / "manifest.jsonl"), "--corpus", str(corpus)], None
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_COMMANDS), _corpus(), st.integers(0, 59))
-@example("sample", _VALID_CORPUS, 1)
-@example("labelspace", _VALID_CORPUS + _SPECIAL_LINES[0] + "\n", 1)
-@example("stats", _SPECIAL_LINES[1] + "\n", 0)
-@example("select", _SPECIAL_LINES[3] + "\n", 0)
-@example("validate", _VALID_CORPUS, 0)
-@example("select", _VALID_CORPUS, 0)
-@example("stats", _VALID_CORPUS, 0)
-def test_corpus_commands_exit_cleanly_on_any_drawn_corpus(command, corpus_text, pick):
+@given(st.sampled_from(_COMMANDS), _corpus(), st.integers(0, 59), st.sampled_from(_NUMBERS))
+@example("sample", _VALID_CORPUS, 1, "1")
+@example("labelspace", _VALID_CORPUS + _SPECIAL_LINES[0] + "\n", 1, "2")
+@example("stats", _SPECIAL_LINES[1] + "\n", 0, "3")
+@example("select", _SPECIAL_LINES[3] + "\n", 0, "1")
+@example("validate", _VALID_CORPUS, 0, "3")
+@example("select", _VALID_CORPUS, 0, "1")
+@example("stats", _VALID_CORPUS, 0, "3")
+@example("sample", _VALID_CORPUS, 1, "nan")
+@example("select", _VALID_CORPUS, 1, "inf")
+@example("labelspace", _VALID_CORPUS, 0, str(2**64))
+def test_corpus_commands_exit_cleanly_on_any_drawn_corpus(command, corpus_text, pick, number):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         corpus = root / "corpus.jsonl"
@@ -127,9 +132,10 @@ def test_corpus_commands_exit_cleanly_on_any_drawn_corpus(command, corpus_text, 
         (root / "seeds.txt").write_text(_SEEDS, encoding="utf-8")
         (root / "space.json").write_text(json.dumps(_SPACE), encoding="utf-8")
         (root / "manifest.jsonl").write_text(_MANIFEST, encoding="utf-8")
-        argv, written = _argv(command, pick, root, corpus)
+        argv, written = _argv(command, pick, number, root, corpus)
         code, out, err = _run(argv)
         _check_contract(code, err)
+        assert code in (0, 2)
         if written is not None:
             assert written.exists() == (code == 0)
         if command == "stats":

@@ -59,8 +59,10 @@ _TAG = (
     | st.dictionaries(_TEXT, st.integers(), max_size=1)
 )
 _TAGS = st.lists(_TAG, max_size=3) | st.sampled_from([["A", "a"], ["Tag", "tag", "TAG"], "x"])
-# numbers the record check sees after float(): bools, and an integer float() overflows on
-_CORPUS_NUMBER = _NUMBER | st.booleans() | st.just(10**400)
+# values the number rule rejects: bools, an integer beyond the float range,
+# and a number given as a string or as null
+_BAD_NUMBER = st.booleans() | st.sampled_from([10**400, "5", None])
+_CORPUS_NUMBER = _NUMBER | _BAD_NUMBER
 
 
 def _dumps(draw, obj: dict) -> str:
@@ -94,8 +96,8 @@ def _row_line(draw):
     obj = {
         "video_id": draw(_TEXT | st.integers()),
         "label": draw(_TEXT),
-        "clip_start_s": draw(_NUMBER | st.sampled_from([0.0, 0.0, "1"])),
-        "clip_len_s": draw(_NUMBER),
+        "clip_start_s": draw(_NUMBER | st.just(0.0) | _BAD_NUMBER),
+        "clip_len_s": draw(_NUMBER | _BAD_NUMBER),
     }
     if draw(st.integers(0, 5)) == 0:
         obj[draw(st.sampled_from(["extra", "video_id"]))] = draw(st.integers())
@@ -136,6 +138,11 @@ _VALID = '{"id": "v1", "duration_s": 2.5, "hashtags": ["a", "B"]}'
 @example(b'{"id": "v1", "duration_s": 1.0, "hashtags": [["a"]]}\n')  # an unhashable tag
 @example(b'{"id": "v1", "duration_s": 1' + b"0" * 400 + b'}\n')  # float() overflows
 @example(b'{"id": "v1", "duration_s": 1.0, "frame_rate": true}\n')
+@example(b'{"id": "v1", "duration_s": "5"}\n')  # a number as a string
+@example(b'{"id": "v1", "duration_s": true}\n')
+@example(b'{"id": "v1", "duration_s": null}\n')
+@example(b'{"id": "v1", "duration_s": 1.0, "frame_rate": "16"}\n')
+@example(b'{"id": "v1", "duration_s": 1.0, "hashtags": ["ok", "a b", "#c", "x y", "#d"]}\n')  # four bad tags
 @example(b'{"id": "v1", "duration_s": 1.0, "hashtags": ["ok", "a b", "#c"]}\n')  # two bad tags
 @example(f"{_VALID}\n{_VALID.replace('v1', 'v2').replace('B', 'b b')}\n".encode())  # a bad tag after a good load
 def test_corpus_reader_equals_the_per_line_loop(tmp_path_factory, data):
@@ -146,12 +153,17 @@ def test_corpus_reader_equals_the_per_line_loop(tmp_path_factory, data):
 
 _HEADER = '{"format":"corpusforge-manifest-v1","seed":3,"provenance":{"a":"b"}}'
 _ROW = '{"video_id":"v1","label":"l","clip_start_s":0.000000,"clip_len_s":1.500000}'
+_STRING_START = '"0.5"'
 
 
 @settings(max_examples=400, deadline=None)
 @given(_file(_row_line(), first=st.sampled_from([_HEADER, _HEADER, "", " " + _HEADER, "[1]"])))
 @example(f"{_HEADER}\n{_ROW}\n  \n{_ROW.replace('v1', 'v2')}\n".encode())
 @example(f"{_HEADER}\n{_ROW}\n{_ROW}\n[1]\n".encode())  # a bad row after a duplicate one
+@example(f"{_HEADER}\n{_ROW.replace('0.000000', _STRING_START)}\n".encode())  # a number as a string
+@example(f"{_HEADER}\n{_ROW.replace('1.500000', 'true')}\n".encode())
+@example(f"{_HEADER}\n{_ROW.replace('1.500000', 'null')}\n".encode())
+@example(f"{_HEADER}\n{_ROW.replace('0.000000', 'null')}\n".encode())
 def test_manifest_reader_equals_the_per_line_loop(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
     path.write_bytes(data)

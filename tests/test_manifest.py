@@ -306,11 +306,11 @@ def test_load_corpus_shares_one_string_per_distinct_tag(tmp_path):
         ('{"id":"v2","duration_s":5.0,"hashtags":null}', "must be strings"),
         ('{"id":"v2","duration_s":5.0,"hashtags":[["a"]]}', "must be strings"),
         ('{"id":"v2","duration_s":5.0,"hashtags":[{"a":1}]}', "must be strings"),
-        ('{"id":"v2","duration_s":"abc","hashtags":["a"]}', "could not convert"),
-        ('{"id":"v2","duration_s":null,"hashtags":["a"]}', "float"),
+        ('{"id":"v2","duration_s":"abc","hashtags":["a"]}', "duration_s"),
+        ('{"id":"v2","duration_s":null,"hashtags":["a"]}', "duration_s"),
         ('{"id":"v2","duration_s":Infinity,"hashtags":["a"]}', "finite"),
         ('{"id":"v2","duration_s":NaN,"hashtags":["a"]}', "finite"),
-        ('{"id":"v2","duration_s":1' + "0" * 400 + ',"hashtags":["a"]}', "too large"),
+        ('{"id":"v2","duration_s":1' + "0" * 400 + ',"hashtags":["a"]}', "duration_s"),
         ('{"id":"v2","duration_s":5.0,"frame_rate":-Infinity}', "frame_rate"),
         ('{"id":"v2","duration_s":5.0,"frame_rate":1e999}', "frame_rate"),
         ('{"id":7,"duration_s":5.0}', "non-empty string"),
