@@ -16,6 +16,16 @@ other input).  ``decode_frames`` runs the census on blocks of
 ``DECODE_BLOCK`` distinct source frames, and ``bilinear_resize`` reuses one
 index/weight plan per frame shape.  Signatures are bit for bit those of
 float64 frames.
+
+A block is read as one flat run from its first interior pixel to its last,
+so each neighbor is the same run shifted by ``dy * w + dx`` and every compare
+reads contiguous memory.  The run also holds border and row-wrap positions,
+across frame ends too: one ``bincount`` against a cached bin table sends each
+interior pixel to one of ``LANES`` sub-histograms of its frame (by its index
+in the frame), which keeps neighboring equal codes off one bin, and every
+other position to a discard block that is sliced off.  At 224 px a block
+needs about 1 MiB of work arrays: the float64 block and the int bins, ~0.4
+MiB each, and two bytes a pixel for codes.
 """
 from __future__ import annotations
 
@@ -27,13 +37,15 @@ from pathlib import Path
 from typing import Sequence
 
 from ._lazy import np
+from .netops import check_elements
 from .records import ValidationError, check_count, read_exact, write_file
 
 SIGNATURE_DIM = 64
 DEFAULT_FPS = 16.0
 DEFAULT_SIDE = 112
 MAX_DECODED_FRAMES = 2**18  # 4.5 hours at 16 fps; 128 MiB of signatures
-DECODE_BLOCK = 8  # distinct source frames per census_signatures call; ~2 MiB of work arrays at 224 px
+DECODE_BLOCK = 4  # frames per census run: its float64 block and int bins set the dedup command's peak
+RESIZE_PLANS = 8  # cached bilinear_resize shapes; 0.4 MiB each at 112x112 out
 
 # clockwise from top-left: bit i compares neighbor at NEIGHBOR_OFFSETS[i]
 NEIGHBOR_OFFSETS = (
@@ -41,6 +53,8 @@ NEIGHBOR_OFFSETS = (
 )
 # code bits the 4:1 fold drops: their neighbors are never compared
 FOLDED_BITS = 2
+# sub-histograms per frame: neighboring run positions count into different bins
+LANES = 4
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -52,28 +66,74 @@ def _pixels(frames: np.ndarray) -> np.ndarray:
     return np.asarray(frames, dtype=np.float64)
 
 
+@functools.cache
+def _bin_table() -> np.ndarray:
+    """Histogram bin, less the code, of each position of a DECODE_BLOCK-frame
+    flat run; uint16 and read-only.  The run of the first n frames is a
+    prefix, for any n.
+
+    An interior pixel of frame f with flat index i in its frame counts into
+    the frame's lane i % LANES, bins 64 (1 + LANES f + lane) onwards; a
+    border or row-wrap position counts into the discard block, bins [0, 64).
+    Built from one frame's pattern, so no work array outgrows the table.
+    """
+    h = w = DEFAULT_SIDE
+    frame = np.zeros((h, w), dtype=np.uint16)  # frame 0's bins; 0 on the border
+    frame[1:-1, 1:-1] = (1 + np.arange(h * w).reshape(h, w)[1:-1, 1:-1] % LANES) * SIGNATURE_DIM
+    later = np.arange(DECODE_BLOCK, dtype=np.uint16)[:, None, None] * (LANES * SIGNATURE_DIM)
+    table = np.where(frame != 0, frame + later, frame)
+    table.setflags(write=False)
+    return table.reshape(-1)[w + 1 : table.size - w - 1]
+
+
+def _census_counts(block: np.ndarray) -> np.ndarray:
+    """(n, 64) int folded-code counts of an (n, 112, 112) block, n <= DECODE_BLOCK.
+
+    The block, flattened in C order (a copy only if it is not C-contiguous),
+    is one flat run from the first interior pixel to the last, and each
+    neighbor the same run shifted by dy * w + dx: every compare reads
+    contiguous memory.  The codes are built highest bit first in one uint8
+    buffer; border and row-wrap positions get codes too, and _bin_table
+    sends them to the discard block.
+    """
+    n, h, w = block.shape
+    flat = block.reshape(-1)
+    size = flat.size - 2 * w - 2
+    start = w + 1
+
+    def shifted(dy: int, dx: int) -> np.ndarray:
+        return flat[start + dy * w + dx : start + dy * w + dx + size]
+
+    center = shifted(0, 0)
+    codes = np.empty(size, dtype=np.uint8)
+    above = np.empty(size, dtype=bool)
+    top, *rest = NEIGHBOR_OFFSETS[FOLDED_BITS:][::-1]  # the folded code's bits, highest first
+    np.greater(shifted(*top), center, out=codes.view(bool))
+    for dy, dx in rest:
+        np.greater(shifted(dy, dx), center, out=above)
+        codes += codes  # faster than <<= 1
+        codes += above.view(np.uint8)
+    # intp bins: bincount takes them without a converted copy
+    bins = np.add(_bin_table()[:size], codes, out=np.empty(size, dtype=np.intp))
+    counts = np.bincount(bins, minlength=(1 + LANES * n) * SIGNATURE_DIM)[SIGNATURE_DIM:]
+    return counts.reshape(n, LANES, SIGNATURE_DIM).sum(axis=1)
+
+
 def census_signatures(block: np.ndarray) -> np.ndarray:
     """(n, 64) folded census-code histograms of an (n, 112, 112) grayscale block.
 
     A uint8 block is compared as uint8, which orders pixels exactly as their
-    float64 values do; any other input is compared as float64.  One bincount
-    histograms all n frames.
+    float64 values do; any other input is compared as float64.  Each run of
+    DECODE_BLOCK frames is histogrammed by one bincount.
     """
     block = _pixels(block)
     if block.ndim != 3 or block.shape[1:] != (DEFAULT_SIDE, DEFAULT_SIDE):
         raise ValidationError(
             f"census frames must be {DEFAULT_SIDE}x{DEFAULT_SIDE}, got a block of {block.shape}"
         )
-    n, h, w = block.shape
-    center = block[:, 1:-1, 1:-1]
-    codes = np.zeros(center.shape, dtype=np.uint8)
-    for bit, (dy, dx) in enumerate(NEIGHBOR_OFFSETS[FOLDED_BITS:]):  # bit of the folded code
-        neighbor = block[:, 1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-        codes += (neighbor > center).view(np.uint8) * (1 << bit)  # faster than |= and <<
-    # frame i's codes count into bins [64 i, 64 i + 64)
-    bins = codes + np.arange(0, n * SIGNATURE_DIM, SIGNATURE_DIM)[:, None, None]
-    hist = np.bincount(bins.ravel(), minlength=n * SIGNATURE_DIM).reshape(n, SIGNATURE_DIM)
-    hist = hist.astype(np.float64)
+    hist = np.empty((len(block), SIGNATURE_DIM), dtype=np.float64)
+    for start in range(0, len(block), DECODE_BLOCK):
+        hist[start : start + DECODE_BLOCK] = _census_counts(block[start : start + DECODE_BLOCK])
     return hist / hist.sum(axis=1, keepdims=True)
 
 
@@ -93,35 +153,54 @@ def to_grayscale(frame: np.ndarray) -> np.ndarray:
     raise ValidationError(f"expected (h,w) or (h,w,3) frame, got {frame.shape}")
 
 
-@functools.lru_cache(maxsize=32, typed=True)  # typed: True or 1.0 must not hit the entry for 1
+@functools.lru_cache(maxsize=RESIZE_PLANS, typed=True)  # typed: True or 1.0 must not hit the entry for 1
 def _resize_plan(in_h: int, in_w: int, out_h: int, out_w: int) -> tuple[np.ndarray, ...]:
-    """Source rows (y0 then y1), source columns (x0 then x1) and the weights
-    wy, 1 - wy, wx, 1 - wx of one resize shape; read-only, shared by calls.
-    The output size is checked here, once per shape."""
+    """Source rows (y0 then y1), source columns x0 and x1, and the weights
+    wy, 1 - wy, wx, 1 - wx as full (out_h, out_w) arrays, of one resize
+    shape; read-only, shared by calls.  The output size is checked here, once
+    per shape, before anything is allocated."""
     out_h, out_w = check_count(out_h, "out_h"), check_count(out_w, "out_w")
+    check_elements(out_h * out_w, "resized frame")
     ys = (np.arange(out_h) + 0.5) * in_h / out_h - 0.5
     xs = (np.arange(out_w) + 0.5) * in_w / out_w - 0.5
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
     x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
     rows = np.concatenate((y0, np.minimum(y0 + 1, in_h - 1)))
-    cols = np.concatenate((x0, np.minimum(x0 + 1, in_w - 1)))
+    x1 = np.minimum(x0 + 1, in_w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    plan = (rows, cols, wy, 1 - wy, wx, 1 - wx)
+    weights = (np.broadcast_to(w, (out_h, out_w)).copy() for w in (wy, 1 - wy, wx, 1 - wx))
+    plan = (rows, x0, x1, *weights)
     for array in plan:
         array.setflags(write=False)
     return plan
 
 
 def bilinear_resize(frame: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample with half-pixel-center alignment; returns float64."""
+    """Bilinear resample with half-pixel-center alignment; returns float64.
+
+    The corners are gathered into two C-ordered arrays, tl over bl and tr
+    over br, so each corner is contiguous; they are then weighted in place by
+    the multiplies and adds of ``tl*vy*vx + tr*vy*wx + bl*wy*vx + br*wy*wx``,
+    in that order, which keeps every output bit.
+    """
     frame = _pixels(frame)
     in_h, in_w = frame.shape
-    rows, cols, wy, vy, wx, vx = _resize_plan(in_h, in_w, out_h, out_w)
-    corners = frame.take(rows, axis=0)[:, cols]
-    tl, tr = corners[:out_h, :out_w], corners[:out_h, out_w:]
-    bl, br = corners[out_h:, :out_w], corners[out_h:, out_w:]
-    return tl * vy * vx + tr * vy * wx + bl * wy * vx + br * wy * wx
+    rows, x0, x1, wy, vy, wx, vx = _resize_plan(in_h, in_w, out_h, out_w)
+    picked = frame.take(rows, axis=0)
+    left, right = picked.take(x0, axis=1), picked.take(x1, axis=1)  # C order; [:, x0] is not
+    out = left[:out_h] * vy
+    out *= vx
+    term = right[:out_h] * vy
+    term *= wx
+    out += term
+    np.multiply(left[out_h:], wy, out=term)
+    term *= vx
+    out += term
+    np.multiply(right[out_h:], wy, out=term)
+    term *= wx
+    out += term
+    return out
 
 
 @dataclass
@@ -194,12 +273,20 @@ def decode_frames(video: FrameVideo) -> SignatureSequence:
     picks = np.rint(np.arange(n_out) * (video.fps / DEFAULT_FPS)).astype(np.int64)
     sources, runs = np.unique(np.minimum(picks, video.num_frames - 1), return_inverse=True)
     distinct = np.empty((len(sources), SIGNATURE_DIM), dtype=np.float64)
+    ready = video.frames.shape[1:] == (DEFAULT_SIDE, DEFAULT_SIDE)  # grayscale at the census size
     for start in range(0, len(sources), DECODE_BLOCK):
-        block = video.frames[sources[start : start + DECODE_BLOCK]]
-        if block.ndim == 4:
-            block = np.stack([to_grayscale(frame) for frame in block])
-        if block.shape[1:] != (DEFAULT_SIDE, DEFAULT_SIDE):
-            block = np.stack([bilinear_resize(frame, DEFAULT_SIDE, DEFAULT_SIDE) for frame in block])
+        chosen = sources[start : start + DECODE_BLOCK]
+        if ready:
+            block = video.frames[chosen]
+        else:  # one frame at a time into the block: no list of converted frames
+            block = np.empty((len(chosen), DEFAULT_SIDE, DEFAULT_SIDE), dtype=np.float64)
+            for i, k in enumerate(chosen.tolist()):
+                frame = video.frames[k]
+                if frame.ndim == 3:
+                    frame = to_grayscale(frame)
+                if frame.shape != (DEFAULT_SIDE, DEFAULT_SIDE):
+                    frame = bilinear_resize(frame, DEFAULT_SIDE, DEFAULT_SIDE)
+                block[i] = frame
         distinct[start : start + DECODE_BLOCK] = census_signatures(block)
     return SignatureSequence(video_id=video.video_id, frames=distinct[runs])
 
@@ -238,16 +325,21 @@ def load_raw_frames(path: str | Path) -> FrameVideo:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float | np.ndarray:
+def cosine(
+    u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray, *, norms: np.ndarray | None = None
+) -> float | np.ndarray:
     """Plain cosine similarity; zero vectors yield 0.
 
     A 1-D ``v`` gives a float; a 2-D ``v`` gives the cosine of ``u`` with each
     of its rows, each by ``vecdot`` so that it is bit for bit the pair's own value.
+    ``norms``, if given, are the rows' ``sqrt(vecdot(row, row))``, computed
+    once by the caller.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     rows = np.atleast_2d(v)
-    nu, nv = np.sqrt(np.vecdot(u, u)), np.sqrt(np.vecdot(rows, rows))
+    nu = np.sqrt(np.vecdot(u, u))
+    nv = np.sqrt(np.vecdot(rows, rows)) if norms is None else norms
     nonzero = (nv != 0.0) & (nu != 0.0)
     sims = np.divide(np.vecdot(rows, u), nu * nv, out=np.zeros(len(rows)), where=nonzero)
     return float(sims[0]) if v.ndim == 1 else sims

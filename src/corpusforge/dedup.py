@@ -31,10 +31,11 @@ class LshIndex:
 
     Each of the BANDS bands hashes a vector to BITS sign bits (dot products
     with random unit hyperplanes), packed into one uint8 key.  The index keeps
-    one row per stored frame: its signature in an (n, 64) float64 array and
-    its band keys in an (n, BANDS) uint8 one.  Similar vectors share a band
-    key with probability (1 - theta/pi)^BITS per band; the candidates of a
-    query are the rows sharing at least one key.
+    one row per stored frame: its signature in an (n, 64) float64 array, the
+    signature's norm in an (n,) one, and its band keys in an (n, BANDS) uint8
+    one.  Similar vectors share a band key with probability
+    (1 - theta/pi)^BITS per band; the candidates of a query are the rows
+    sharing at least one key.
 
     Build is single-writer.  The first query after an insert stacks the new
     rows; after it returns, queries are read-only and safe to run
@@ -48,6 +49,7 @@ class LshIndex:
         self.planes = planes.reshape(BANDS, BITS, SIGNATURE_DIM)
         self._entries: list[tuple[str, int]] = []
         self._vectors = np.empty((0, SIGNATURE_DIM), dtype=np.float64)
+        self._norms = np.empty(0, dtype=np.float64)  # of the rows of _vectors, for cosine
         self._keys = np.empty((0, BANDS), dtype=np.uint8)
         # blocks inserted since the last query; stacked once by _stack(), so
         # that n inserts cost one copy of the index, not n
@@ -72,11 +74,13 @@ class LshIndex:
 
     def _stack(self) -> None:
         """Append the blocks inserted since the last query to the stacked rows,
-        in insert order, with one concatenation each for vectors and keys."""
+        in insert order, with one concatenation each for vectors and keys, and
+        recompute the rows' norms."""
         if self._pending:
             vectors, keys = zip(*self._pending)
             self._vectors = np.concatenate((self._vectors, *vectors))
             self._keys = np.concatenate((self._keys, *keys))
+            self._norms = np.sqrt(np.vecdot(self._vectors, self._vectors))
             self._pending = []
 
     def __len__(self) -> int:
@@ -92,10 +96,11 @@ class LshIndex:
         return np.flatnonzero(same[:, 0] | same[:, 1])
 
     def match(self, vector: np.ndarray, tau: float = DEFAULT_TAU) -> list[tuple[str, int]]:
-        """Candidates verified by exact cosine >= tau, with one cosine for all."""
+        """Candidates verified by exact cosine >= tau, with one cosine for all
+        and the candidates' norms from the index."""
         check_real(tau, "tau", -1.0, 1.0)
         found = self.candidates(vector)  # stacks pending inserts into _vectors
-        sims = cosine(vector, self._vectors.take(found, axis=0))
+        sims = cosine(vector, self._vectors.take(found, axis=0), norms=self._norms.take(found))
         return [self._entries[i] for i in found[sims >= tau].tolist()]
 
 

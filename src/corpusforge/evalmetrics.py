@@ -5,7 +5,15 @@ import math
 
 from ._lazy import np
 from .netops import check_elements
-from .records import LabelSpace, ValidationError, VideoRecord, assign_labels, check_count, matches_by_video
+from .records import (
+    LabelSpace,
+    ValidationError,
+    VideoRecord,
+    _shown,
+    assign_labels,
+    check_count,
+    matches_by_video,
+)
 
 
 def assign_single_label(video: VideoRecord, space: LabelSpace, seed: int) -> str:
@@ -38,18 +46,21 @@ def uniform_clip_starts(
     check_elements(n_clips, "clip starts")
     if check_count(clip_len, "clip_len") > check_count(num_frames, "num_frames"):
         raise ValidationError(
-            f"clip_len {clip_len} must be in 1..num_frames ({num_frames})"
+            f"clip_len {_shown(clip_len)} must be in 1..num_frames ({_shown(num_frames)})"
         )
     if placement not in ("endpoints", "centers"):
         raise ValidationError(f"unknown placement {placement!r}")
     span = num_frames - clip_len
-    if n_clips == 1:
-        return [int(math.floor(span / 2 + 0.5))]
-    if placement == "centers":
-        return [
-            int(math.floor((i + 0.5) * span / n_clips + 0.5)) for i in range(n_clips)
-        ]
-    return [int(math.floor(i * span / (n_clips - 1) + 0.5)) for i in range(n_clips)]
+    try:
+        if n_clips == 1:
+            return [int(math.floor(span / 2 + 0.5))]
+        if placement == "centers":
+            return [
+                int(math.floor((i + 0.5) * span / n_clips + 0.5)) for i in range(n_clips)
+            ]
+        return [int(math.floor(i * span / (n_clips - 1) + 0.5)) for i in range(n_clips)]
+    except OverflowError:
+        raise ValidationError(f"num_frames {_shown(num_frames)} is past the float range") from None
 
 
 def video_prediction(clip_logits: list[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -85,7 +96,7 @@ def accuracy_topk(preds: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
         raise ValidationError(f"preds {scores.shape} do not align with labels {y.shape}")
     classes = scores.shape[1]
     if check_count(k, "k") > classes:
-        raise ValidationError(f"k={k} out of range 1..{classes}")
+        raise ValidationError(f"k={_shown(k)} out of range 1..{classes}")
     check_class_ids(y, classes, "labels")
     order = np.argsort(-scores, axis=1, kind="stable")  # stable: ties keep class order
     hits = (order[:, :k] == y[:, None]).any(axis=1)

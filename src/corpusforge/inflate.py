@@ -23,7 +23,7 @@ from .netops import (
     check_elements,
     same_padding,
 )
-from .records import ValidationError, check_count, check_real
+from .records import ValidationError, _shown, check_count, check_real
 
 
 def inflate(weights2d: np.ndarray, k: int, normalize: bool = True) -> np.ndarray:
@@ -159,9 +159,12 @@ def scale_shortest_edge(dims: tuple[int, int], target: int = 128) -> tuple[int, 
     h, w = dims
     if h < 1 or w < 1:
         raise ValidationError(f"bad frame dims {dims}")
-    if h <= w:
-        return target, int(round(w * target / h))
-    return int(round(h * target / w)), target
+    try:
+        if h <= w:
+            return target, int(round(w * target / h))
+        return int(round(h * target / w)), target
+    except OverflowError:
+        raise ValidationError(f"target {_shown(target)} scales {dims} past the float range") from None
 
 
 def center_crop_box(dims: tuple[int, int], size: int = 128) -> tuple[int, int, int, int]:
@@ -169,7 +172,7 @@ def center_crop_box(dims: tuple[int, int], size: int = 128) -> tuple[int, int, i
     size = check_count(size, "size")
     h, w = dims
     if h < size or w < size:
-        raise ValidationError(f"cannot crop {size}x{size} from {dims}")
+        raise ValidationError(f"cannot crop a square of side {_shown(size)} from {dims}")
     return (h - size) // 2, (w - size) // 2, size, size
 
 

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .records import ValidationError, VideoRecord, _real, read_jsonl, read_lines, read_object, write_file
+from .records import ValidationError, VideoRecord, _real, _shown, read_jsonl, read_lines, read_object, write_file
 from .rng import check_seed
 
 FORMAT_TAG = "corpusforge-manifest-v1"
@@ -42,16 +42,17 @@ class ManifestRow:
 
     def __post_init__(self) -> None:
         if not isinstance(self.video_id, str) or not isinstance(self.label, str):
-            raise ValidationError(f"row {self.video_id!r}: video_id and label must be strings")
+            raise ValidationError(f"row {_shown(self.video_id)}: video_id and label must be strings")
         # the number rule first, then the quantized times' ranges
         start, length = _q(_real(self.clip_start_s)), _q(_real(self.clip_len_s))
         if not 0 <= start < math.inf:
             raise ValidationError(
-                f"row for video {self.video_id!r}: clip_start_s must be finite and >= 0, got {self.clip_start_s!r}"
+                f"row for video {self.video_id!r}: clip_start_s must be finite and >= 0, "
+                f"got {_shown(self.clip_start_s)}"
             )
         if not 0 < length < math.inf:
             raise ValidationError(
-                f"row for video {self.video_id!r}: clip_len_s must be finite and > 0, got {self.clip_len_s!r}"
+                f"row for video {self.video_id!r}: clip_len_s must be finite and > 0, got {_shown(self.clip_len_s)}"
             )
         object.__setattr__(self, "clip_start_s", start)
         object.__setattr__(self, "clip_len_s", length)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Union
 
 from ._lazy import np
-from .records import ValidationError, check_count, read_json, read_object, write_file
+from .records import ValidationError, _shown, check_count, read_json, read_object, write_file
 from .tensor import load_weights, save_weights
 
 
@@ -29,7 +29,7 @@ MAX_ELEMENTS = 2**24  # 128 MiB of float64: the largest array a conv or an infla
 def check_elements(count: int, what: str) -> None:
     """Reject an array of ``count`` elements over MAX_ELEMENTS before it is allocated."""
     if count > MAX_ELEMENTS:
-        raise ValidationError(f"{what}: {count} elements, over the {MAX_ELEMENTS} limit")
+        raise ValidationError(f"{what}: {_shown(count)} elements, over the {MAX_ELEMENTS} limit")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

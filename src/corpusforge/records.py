@@ -27,6 +27,21 @@ class ValidationError(ValueError):
     """Raised when a record or file violates a structural invariant."""
 
 
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, which cannot fail: an int too
+    long for ``repr`` (over ``sys.get_int_max_str_digits()`` digits) is named
+    by its digit count, and any other number holding one by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to print"
+        size = abs(value)
+        digits = int(size.bit_length() * math.log10(2))
+        digits += size >= 10**digits  # the count is one of these two
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def check_count(value: object, name: str, low: int = 1) -> int:
     """The one count rule (a seed's is ``rng.check_seed``): ``value`` is an
     integer >= ``low``, an ``int`` or anything ``operator.index`` takes
@@ -36,7 +51,7 @@ def check_count(value: object, name: str, low: int = 1) -> int:
     except TypeError:
         count = None
     if count is None or count < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {low}, got {_shown(value)}")
     return count
 
 
@@ -68,7 +83,7 @@ def check_real(
             where = f"{'>' if open_ends else '>='} {low:g}"
         else:
             where = f"in {'(' if open_ends else '['}{low:g}, {high:g}{')' if open_ends else ']'}"
-        raise ValidationError(f"{name} must be finite and {where}, got {value!r}")
+        raise ValidationError(f"{name} must be finite and {where}, got {_shown(value)}")
     return real
 
 
@@ -219,9 +234,9 @@ def _video_fields(
     duration = duration_s if type(duration_s) is float else _real(duration_s)  # _real's fast path, inline
     rate = frame_rate if type(frame_rate) is float else _real(frame_rate)
     if not 0 < duration < math.inf:
-        raise ValidationError(f"video {video_id!r}: duration_s must be finite and > 0, got {duration_s!r}")
+        raise ValidationError(f"video {video_id!r}: duration_s must be finite and > 0, got {_shown(duration_s)}")
     if not 0 < rate < math.inf:
-        raise ValidationError(f"video {video_id!r}: frame_rate must be finite and > 0, got {frame_rate!r}")
+        raise ValidationError(f"video {video_id!r}: frame_rate must be finite and > 0, got {_shown(frame_rate)}")
     if source_uri is not None and not isinstance(source_uri, str):
         raise ValidationError(f"video {video_id!r}: source_uri must be a string")
     return duration, rate

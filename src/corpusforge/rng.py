@@ -25,9 +25,9 @@ from ._lazy import np
 def check_seed(seed: object, prefix: str = "") -> None:
     """The one seed rule: an integer in [0, 2**64).  Errors start with ``prefix``."""
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        from .records import ValidationError  # records imports this module
+        from .records import ValidationError, _shown  # records imports this module
 
-        raise ValidationError(f"{prefix}seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ValidationError(f"{prefix}seed must be an integer in [0, 2**64), got {_shown(seed)}")
 
 
 def derive_seed(master: int, *keys: object) -> int:

@@ -27,6 +27,7 @@ from .records import (
     LabelSpace,
     ValidationError,
     VideoRecord,
+    _shown,
     assigned_pools,
     check_count,
     matches_by_video,
@@ -227,7 +228,7 @@ def subset_labels(space: LabelSpace, k: int, seed: int) -> LabelSpace:
     """
     labels = sorted(space.entries)
     if check_count(k, "k") > len(labels):
-        raise ValidationError(f"k={k} out of range 1..{len(labels)}")
+        raise ValidationError(f"k={_shown(k)} out of range 1..{len(labels)}")
     perm = make_rng(seed, "subset").permutation(len(labels))
     kept = {labels[int(i)] for i in perm[:k]}
     return LabelSpace(

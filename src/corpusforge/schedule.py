@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .netops import check_elements
-from .records import ValidationError, check_count, check_real, write_file
+from .records import ValidationError, _shown, check_count, check_real, write_file
 
 DEFAULT_BASE_LR = 0.192
 DEFAULT_REDUCTIONS = 13
@@ -66,7 +66,7 @@ def lr_schedule(
     plateaus = num_reductions + 1
     if span < plateaus:
         raise ValidationError(
-            f"{span} post-warmup iterations cannot hold {plateaus} plateaus"
+            f"{span} post-warmup iterations cannot hold {_shown(plateaus)} plateaus"
         )
     values = [base_lr * (i + 1) / warmup_iters for i in range(warmup_iters)]
     base_len, extra = divmod(span, plateaus)

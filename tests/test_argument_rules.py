@@ -28,23 +28,28 @@ from corpusforge.inflate import (
     scale_shortest_edge,
 )
 from corpusforge.netops import Conv2dLayer, NetSpec, conv2d_forward, conv3d_forward
+from corpusforge.manifest import ManifestRow
 from corpusforge.probe import train_probe
 from corpusforge.records import (
     LabelKind,
     LabelSpace,
     ValidationError,
+    VideoRecord,
+    _shown,
     check_count,
     check_real,
     load_label_space,
     save_label_space,
 )
+from corpusforge.rng import check_seed
 from corpusforge.sampling import SamplingPlan, Strategy, subset_labels
 from corpusforge.schedule import lr_schedule, save_schedule
 from corpusforge.temporal import BudgetMode, BudgetPlan, LengthClass, jitter_clip
 
 _NOT_A_NUMBER = [math.nan, math.inf, -math.inf, True, "3"]
-_BAD_COUNT = [1.5, *_NOT_A_NUMBER]
-_BAD_REAL = [*_NOT_A_NUMBER, 10**400]  # 10**400 is beyond the float range
+_HUGE = 10**5000  # beyond the float range, and too long for repr()
+_BAD_COUNT = [1.5, *_NOT_A_NUMBER, -_HUGE]
+_BAD_REAL = [*_NOT_A_NUMBER, 10**400, _HUGE, -_HUGE]  # 10**400 is beyond the float range
 
 
 def _space(min_count=1) -> LabelSpace:
@@ -161,7 +166,7 @@ _ENTRIES = {
 }
 
 _BAD_CASES = [
-    pytest.param(entry, name, value, id=f"{entry}-{name}-{value!r}"[:60])
+    pytest.param(entry, name, value, id=f"{entry}-{name}-{_shown(value)}"[:60])
     for entry, (_call, args) in _ENTRIES.items()
     for name, (kind, _valid, out_of_range) in args.items()
     for value in (_BAD_COUNT if kind == "count" else _BAD_REAL) + out_of_range
@@ -180,6 +185,39 @@ def test_each_bad_count_or_real_is_a_validation_error_naming_the_argument(entry,
         _call(entry, **{name: value})
     assert str(info.value).startswith((f"{name} ", f"{name}="))
     assert "\n" not in str(info.value)
+
+
+_COUNT_ARGS = [
+    pytest.param(entry, name, id=f"{entry}-{name}")
+    for entry, (_call, args) in _ENTRIES.items()
+    for name, (kind, _valid, _bad) in args.items()
+    if kind == "count"
+]
+
+
+@pytest.mark.parametrize("entry, name", _COUNT_ARGS)
+def test_a_huge_count_passes_or_is_a_validation_error(entry, name):
+    # 10**5000 is a count by the rule; a bound after it may reject it, but
+    # naming it must not fail (repr of an int over 4300 digits raises)
+    try:
+        _call(entry, **{name: _HUGE})
+    except ValidationError as exc:
+        assert "\n" not in str(exc)
+
+
+@pytest.mark.parametrize("value", [_HUGE, -_HUGE], ids=["huge", "-huge"])
+def test_records_and_rows_reject_a_huge_number(value):
+    for make, field in [
+        (lambda: VideoRecord("a", value, []), "duration_s"),
+        (lambda: VideoRecord("a", 2.0, [], frame_rate=value), "frame_rate"),
+        (lambda: ManifestRow("v", "l", value, 1.0), "clip_start_s"),
+        (lambda: ManifestRow("v", "l", 0.0, value), "clip_len_s"),
+        (lambda: ManifestRow(value, "l", 0.0, 1.0), "video_id"),
+        (lambda: check_seed(value), "seed"),
+    ]:
+        with pytest.raises(ValidationError, match="5001 digits") as info:
+            make()
+        assert field in str(info.value) and "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRIES))
@@ -223,6 +261,10 @@ def test_the_rules_word_their_messages_by_the_interval():
         (lambda: check_real(-1.0, "x", 0.0), "x must be finite and >= 0, got -1.0"),
         (lambda: check_real(math.nan, "x", -1.0, 1.0), "x must be finite and in [-1, 1], got nan"),
         (lambda: check_real(1.0, "x", 0.0, 1.0, open_ends=True), "x must be finite and in (0, 1), got 1.0"),
+        (lambda: check_count(-_HUGE, "n"), "n must be an integer >= 1, got a negative int of 5001 digits"),
+        (lambda: check_real(_HUGE, "x", 0.0), "x must be finite and >= 0, got an int of 5001 digits"),
+        (lambda: check_real(10**4300 - 1, "x", 0.0), f"x must be finite and >= 0, got {10**4300 - 1}"),
+        (lambda: check_real(-(10**4300), "x", 0.0), "x must be finite and >= 0, got a negative int of 4301 digits"),
     ]
     for call, message in cases:
         with pytest.raises(ValidationError) as info:

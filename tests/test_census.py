@@ -359,10 +359,84 @@ def test_bilinear_resize_equals_the_ix_reference(seed, in_h, in_w, out_h, out_w,
     assert np.array_equal(bilinear_resize(frame, out_h, out_w), got)  # from the cached plan
 
 
-def test_resize_plan_is_read_only():
+def test_resize_plan_and_bin_table_are_read_only():
     bilinear_resize(np.zeros((7, 5)), 3, 4)
     for array in census._resize_plan(7, 5, 3, 4):
         assert not array.flags.writeable
+    table = census._bin_table()
+    assert not table.flags.writeable and not table.base.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# The flat run: census_signatures compares each block as one contiguous run
+# across frame and row ends, and its bin table discards every position that
+# is not an interior pixel.
+
+
+def _framed_block(rng, n, dtype, levels):
+    # interior values in [0, levels); each frame's border rows and columns
+    # hold values of their own, above the interior and distinct per frame, so
+    # a counted border or row-wrap position changes a histogram
+    block = rng.integers(0, levels, size=(n, 112, 112)).astype(dtype)
+    for i in range(n):
+        edge = rng.permutation(np.arange(100, 212)) + i
+        block[i, 0, :], block[i, -1, :] = edge, edge[::-1]
+        block[i, :, 0], block[i, :, -1] = edge[::-1], edge
+    return block
+
+
+@pytest.mark.parametrize("n", range(1, census.DECODE_BLOCK + 2))
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_flat_run_counts_only_interior_pixels(n, dtype):
+    rng = np.random.default_rng(100 * n + (dtype == np.uint8))
+    block = _framed_block(rng, n, dtype, levels=4)
+    sigs = census_signatures(block)
+    assert sigs.shape == (n, 64)
+    for i in range(n):
+        assert np.array_equal(sigs[i], _eight_comparison_signature(block[i].astype(np.float64)))
+
+
+@pytest.mark.parametrize("view", ["reversed", "strided", "cut", "transposed"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_non_contiguous_blocks_equal_their_contiguous_copies(view, dtype):
+    rng = np.random.default_rng(7)
+    big = _framed_block(rng, 2 * census.DECODE_BLOCK + 1, dtype, levels=3)
+    block = {
+        "reversed": big[::-1],
+        "strided": big[::2],
+        "cut": np.pad(big, ((0, 0), (3, 2), (5, 1)))[:, 3:115, 5:117],
+        "transposed": big.transpose(0, 2, 1),
+    }[view]
+    assert not block.flags.c_contiguous
+    sigs = census_signatures(block)
+    for i, frame in enumerate(block):
+        assert np.array_equal(sigs[i], _eight_comparison_signature(frame.astype(np.float64)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2 * census.DECODE_BLOCK + 1), st.sampled_from([2, 3, 5]))
+def test_float64_blocks_with_many_ties_equal_the_reference(seed, n, levels):
+    # float levels with a fractional step: ties everywhere, compared as float64
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, levels, size=(n, 112, 112)) * 0.37 - 1.5
+    sigs = census_signatures(block)
+    for i in range(n):
+        assert np.array_equal(sigs[i], _eight_comparison_signature(block[i]))
+
+
+@pytest.mark.parametrize("rgb", [False, True])
+def test_decode_of_non_contiguous_video_frames_equals_the_references(rgb):
+    rng = np.random.default_rng(31)
+    shape = (2 * census.DECODE_BLOCK + 3, 150, 130, 3) if rgb else (2 * census.DECODE_BLOCK + 3, 150, 130)
+    frames = rng.integers(0, 5, size=shape).astype(np.uint8)
+    view = frames[::-1, ::-1].swapaxes(1, 2)  # reversed in time and rows, then transposed
+    got = decode_frames(FrameVideo("view", fps=12.5, frames=view))
+    assert np.array_equal(got.frames, _frame_by_frame_decode(view, 12.5))
+    for frame in view[:3]:
+        gray = to_grayscale(frame) if rgb else frame
+        assert np.array_equal(bilinear_resize(gray, 112, 112), _ix_resize(gray, 112, 112))
 
 
 @pytest.mark.parametrize(

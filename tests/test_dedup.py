@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusforge import dedup
 from corpusforge.census import SignatureSequence, cosine, decode_frames
 from corpusforge.dedup import (
     BANDS,
@@ -397,6 +398,33 @@ def test_inserts_stack_once_before_a_query():
     frames = np.concatenate([sig.frames for sig in sigs])
     assert index._pending == [] and index._vectors.tobytes() == frames.tobytes()
     assert index._keys.dtype == np.uint8 and index._keys.tobytes() == index._band_keys(frames).tobytes()
+
+
+def test_cached_norms_give_the_similarities_of_the_gathered_rows():
+    # the index keeps each row's norm once; the cosine of a query against the
+    # gathered candidates must not change by a bit for it
+    rng = np.random.default_rng(21)
+    for trial in range(200):
+        index = LshIndex(seed=trial)
+        for i in range(int(rng.integers(1, 4))):
+            index.insert(_sig(f"v{i}", _census_like(rng, int(rng.integers(1, 40)), float(rng.random()))))
+        query = _census_like(rng, 1, 0.5)[0]
+        found = index.candidates(query)  # stacks the rows and their norms
+        rows = index._vectors.take(found, axis=0)
+        norms = index._norms.take(found)
+        assert norms.tobytes() == np.sqrt(np.vecdot(rows, rows)).tobytes()
+        assert cosine(query, rows, norms=norms).tobytes() == cosine(query, rows).tobytes()
+
+
+def test_match_makes_one_cosine_call_per_query(monkeypatch):
+    # the benchmark's tracer counts dedup.verify_calls from these calls
+    calls = []
+    monkeypatch.setattr(dedup, "cosine", lambda *a, **k: calls.append(1) or cosine(*a, **k))
+    rng = np.random.default_rng(22)
+    index = build_index([_sig("t", _census_like(rng, 30, 0.3))], seed=2)
+    for q in _census_like(rng, 7, 0.3):
+        index.match(q, 0.5)
+    assert len(calls) == 7
 
 
 def test_uint8_band_keys_equal_the_weighted_sign_bits():

@@ -13,12 +13,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from corpusforge.census import decode_frames
+from corpusforge.census import FrameVideo, decode_frames
 from corpusforge.dedup import dedup_report, save_report
 from corpusforge.manifest import manifest_bytes
 from corpusforge.records import VideoRecord
 from corpusforge.sampling import SamplingPlan, Strategy, sample
-from corpusforge.synth import ramp_video, tile_video
+from corpusforge.synth import ramp_video, tile_frame, tile_video
 from corpusforge.temporal import (
     BudgetMode,
     BudgetPlan,
@@ -39,6 +39,8 @@ GOLDEN = {
     "f1": "f9ab6ddb84b90abc15cf4f1d188d11db9165aca847688008f20b174e5203f393",
     "f2": "2722ff7636c88e36e6d146a67e0eb6a85eff555734dcfb72ce574588c6e49616",
     "overlap_pairs": "978243062a0e43d00a6e9096303986b6f8c2a0fdb398f87715d9c0a627c80f68",
+    "decode_ramp224": "f5374545bd5fc06032ea47c9a54ba5177ce4e253e5e8414c6551c252beee58dc",
+    "decode_rgb240x320": "f55f44a274f6cebc84a6b7a37ff14f1ac3e4f613b5a8c3f24c40fa4d517f4a37",
 }
 
 
@@ -100,3 +102,24 @@ def test_golden_overlap_pairs(tmp_path):
     pairs = (tmp_path / "overlap_pairs.jsonl").read_bytes()
     assert pairs
     assert _sha(pairs) == GOLDEN["overlap_pairs"]
+
+
+def _rgb_tile_video() -> FrameVideo:
+    # 240x320 RGB: a non-square resize with non-dyadic weights, and luma
+    frames = np.stack([
+        np.stack([tile_frame(1000 + 7 * k + c, side=320)[:240] for c in range(3)], axis=-1)
+        for k in range(10)
+    ])
+    return FrameVideo("rgb240x320", fps=16.0, frames=frames)
+
+
+@pytest.mark.parametrize(
+    "name, video",
+    [
+        ("decode_ramp224", lambda: ramp_video("r224", [(3 * k) % 40 for k in range(12)], side=224)),
+        ("decode_rgb240x320", _rgb_tile_video),
+    ],
+)
+def test_golden_decoded_signatures(name, video):
+    # the resize paths: 2:1 from 224 px, and 240x320 RGB to 112x112
+    assert _sha(decode_frames(video()).frames.tobytes()) == GOLDEN[name]
