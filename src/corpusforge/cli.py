@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -354,6 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one BLAS/OpenMP thread, so that a model's bytes do not depend on the core
+# count of the machine that trained it; read when numpy is first bound
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -361,12 +367,20 @@ def main(argv: list[str] | None = None) -> int:
     # rescan its many long-lived objects, so pause it and restore the caller's state
     gc_was_on = gc.isenabled()
     gc.disable()
+    # a caller's own thread setting is overridden too, and restored after
+    threads_were = {name: os.environ.get(name) for name in _THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_THREAD_VARIABLES, "1"))
     try:
         return args.func(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        for name, value in threads_were.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
         if gc_was_on:
             gc.enable()
 

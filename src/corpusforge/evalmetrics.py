@@ -1,8 +1,6 @@
 """Test-time evaluation: label assignment, clip sampling, accuracy and mAP."""
 from __future__ import annotations
 
-import math
-
 from ._lazy import np
 from .netops import check_elements
 from .records import (
@@ -40,7 +38,8 @@ def uniform_clip_starts(
     span = num_frames - clip_len, so the first clip begins at 0 and the last
     ends flush with the video.  "centers": the span is cut into n_clips equal
     segments and each clip starts at its segment's midpoint.  A single clip
-    is centered either way.  Rounding is half-up for determinism.
+    is centered either way.  Rounding is half-up, in exact integer
+    arithmetic, so a start is right for any frame count.
     """
     check_count(n_clips, "n_clips")
     check_elements(n_clips, "clip starts")
@@ -50,17 +49,12 @@ def uniform_clip_starts(
         )
     if placement not in ("endpoints", "centers"):
         raise ValidationError(f"unknown placement {placement!r}")
-    span = num_frames - clip_len
-    try:
-        if n_clips == 1:
-            return [int(math.floor(span / 2 + 0.5))]
-        if placement == "centers":
-            return [
-                int(math.floor((i + 0.5) * span / n_clips + 0.5)) for i in range(n_clips)
-            ]
-        return [int(math.floor(i * span / (n_clips - 1) + 0.5)) for i in range(n_clips)]
-    except OverflowError:
-        raise ValidationError(f"num_frames {_shown(num_frames)} is past the float range") from None
+    span, n = num_frames - clip_len, n_clips
+    if n == 1:
+        return [(span + 1) // 2]
+    if placement == "centers":  # floor((i + 1/2) * span / n + 1/2)
+        return [((2 * i + 1) * span + n) // (2 * n) for i in range(n)]
+    return [(2 * i * span + n - 1) // (2 * (n - 1)) for i in range(n)]  # floor(i * span / (n - 1) + 1/2)
 
 
 def video_prediction(clip_logits: list[np.ndarray] | np.ndarray) -> np.ndarray:

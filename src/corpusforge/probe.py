@@ -12,15 +12,17 @@ gradient, 1/L by default for a bound L on the gradient's Lipschitz constant,
 so the first iterate is the 1/L gradient step.  Training stops once the
 gradient norm has fallen by GRAD_TOL; ``iters`` only caps the gradients
 taken.  Training is deterministic for a given numpy/BLAS build and thread
-count.  It computes every gradient in work arrays allocated once per
-training run (:class:`ProbeWork`), so no step allocates fresh
-``(n, classes)`` temporaries.
+count; the CLI runs it on one BLAS thread (see ``cli.main``), so a model's
+bytes do not depend on the core count of the machine that trained it.  Every
+step computes in plain numpy expressions on fresh arrays; no work array is
+kept between steps.
 
 Feature files ("CFFT", little-endian):
-  magic "CFFT", u32 n, u32 d, n*d f32 row-major features, then labels --
-  n u32 class ids (multiclass) or an n x L u8 matrix of 0/1 (multilabel).
+  magic "CFFT", u32 n, u32 d, n*d finite f32 row-major features, then labels
+  -- n u32 class ids (multiclass) or an n x L u8 matrix of 0/1 (multilabel).
 
-Probe models are ``.npz`` archives of weights, bias, mode and l2_lambda.
+Probe models are ``.npz`` archives of finite weights and bias, mode and an
+l2_lambda in [0, L2_LIMIT).
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from pathlib import Path
 from ._lazy import np
 from .evalmetrics import check_class_ids
 from .records import ValidationError, check_count, check_real, read_exact, write_file
+from .tensor import check_finite
 
 _CFFT_MAGIC = b"CFFT"
 _CFFT_HEADER = struct.Struct("<4sII")
@@ -64,26 +67,6 @@ class ProbeModel:
         return np.argmax(self.logits(features), axis=1)
 
 
-class ProbeWork:
-    """Work arrays for :func:`probe_loss_and_grad` on ``n`` samples of ``dim``
-    features and ``classes`` outputs.
-
-    A call given ``work=`` computes every ``(n, classes)`` intermediate inside
-    these arrays and returns gradients that are views of them, valid until
-    the next call that shares them.
-    """
-
-    def __init__(self, n: int, classes: int, dim: int) -> None:
-        self.z, self.e, self.delta, self.tmp = (np.empty((n, classes)) for _ in range(4))
-        self.mask = np.empty((n, classes), dtype=bool)
-        self.zmax, self.norm = np.empty((n, 1)), np.empty((n, 1))
-        self.w_tmp = np.empty((classes, dim))
-        # one flat gradient, so that a trainer can step all parameters at once
-        self.grad = np.empty(classes * (dim + 1))
-        self.grad_w = self.grad[: classes * dim].reshape(classes, dim)
-        self.grad_b = self.grad[classes * dim :]
-
-
 def probe_loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
@@ -91,66 +74,45 @@ def probe_loss_and_grad(
     targets: np.ndarray,
     mode: ProbeMode,
     l2_lambda: float,
-    *,
-    work: ProbeWork | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss plus analytic gradients w.r.t. weights and bias.
 
     targets: class ids (multiclass) or an (n, classes) 0/1 matrix
     (multilabel).  Multilabel loss sums over labels, both average over
-    samples.  With ``work`` the gradients are views of its arrays (see
-    :class:`ProbeWork`); without it they are fresh arrays.
+    samples.
     """
     x = np.asarray(features, dtype=np.float64)
     n = x.shape[0]
-    if work is None:
-        work = ProbeWork(n, weights.shape[0], x.shape[1])
-    z, e, delta, tmp, mask = work.z, work.e, work.delta, work.tmp, work.mask
-    np.matmul(x, weights.T, out=z)
-    np.add(z, bias, out=z)
+    z = x @ weights.T + bias
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
         rows, labels = np.arange(n), np.asarray(targets, dtype=np.int64)
-        zmax, norm = work.zmax, work.norm
-        np.max(z, axis=1, keepdims=True, out=zmax)
-        np.subtract(z, zmax, out=delta)
-        np.exp(delta, out=delta)
-        np.sum(delta, axis=1, keepdims=True, out=norm)
+        zmax = np.max(z, axis=1, keepdims=True)
+        e = np.exp(z - zmax)
+        norm = np.sum(e, axis=1, keepdims=True)
         loss = float(np.mean(zmax[:, 0] + np.log(norm[:, 0]) - z[rows, labels]))
-        np.isfinite(z, out=mask)
-        mask[rows, labels] = True
-        if not mask.all():  # an inf or nan logit off the label makes the loss nan
+        finite = np.isfinite(z)
+        finite[rows, labels] = True
+        if not finite.all():  # an inf or nan logit off the label makes the loss nan
             loss = math.nan
-        np.divide(delta, norm, out=delta)
+        delta = e / norm
         delta[rows, labels] -= 1.0
     else:
         y = np.asarray(targets, dtype=np.float64)
         # stable log(1 + exp(z)) - z*y; sigmoid(z) from the same exp(-|z|)
-        np.abs(z, out=e)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        # per-element loss max(z, 0) - z*y + log1p(e), summed in delta
-        np.maximum(z, 0.0, out=delta)
-        np.multiply(z, y, out=tmp)
-        np.subtract(delta, tmp, out=delta)
-        np.log1p(e, out=tmp)
-        np.add(delta, tmp, out=delta)
-        loss = float(np.sum(delta) / n)
-        # where(z >= 0, 1, e) / (1 + e) - y
-        np.greater_equal(z, 0, out=mask)
-        np.copyto(delta, e)
-        np.copyto(delta, 1.0, where=mask)
-        np.add(e, 1.0, out=tmp)
-        np.divide(delta, tmp, out=delta)
-        np.subtract(delta, y, out=delta)
-    np.divide(delta, n, out=delta)
-    grad_w, w_tmp, grad_b = work.grad_w, work.w_tmp, work.grad_b
-    np.multiply(weights, weights, out=w_tmp)
-    loss += l2_lambda * float(np.sum(w_tmp))
-    np.matmul(delta.T, x, out=grad_w)
-    np.multiply(weights, 2.0 * l2_lambda, out=w_tmp)
-    np.add(grad_w, w_tmp, out=grad_w)
-    np.sum(delta, axis=0, out=grad_b)
-    return loss, grad_w, grad_b
+        e = np.exp(-np.abs(z))
+        loss = float(np.sum(np.maximum(z, 0.0) - z * y + np.log1p(e)) / n)
+        delta = np.where(z >= 0, 1.0, e) / (e + 1.0) - y
+    delta /= n
+    loss += l2_lambda * float(np.sum(weights * weights))
+    grad_w = delta.T @ x + weights * (2.0 * l2_lambda)
+    return loss, grad_w, np.sum(delta, axis=0)
+
+
+def _check_l2(l2_lambda: float) -> None:
+    """The l2 rule of training and of a stored model: finite, >= 0 and below L2_LIMIT."""
+    check_real(l2_lambda, "l2_lambda", 0.0)
+    if l2_lambda >= L2_LIMIT:
+        raise ValidationError(f"l2_lambda must be < 2**1023, got {l2_lambda}")
 
 
 def _lipschitz_step(x: np.ndarray, mode: ProbeMode, l2_lambda: float) -> float:
@@ -160,9 +122,8 @@ def _lipschitz_step(x: np.ndarray, mode: ProbeMode, l2_lambda: float) -> float:
     n, d = x.shape
     gram = np.empty((d + 1, d + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(x.T, x, out=gram[:d, :d])
-        np.sum(x, axis=0, out=gram[:d, d])
-    gram[d, :d] = gram[:d, d]
+        gram[:d, :d] = x.T @ x
+        gram[:d, d] = gram[d, :d] = np.sum(x, axis=0)
     gram[d, d] = n
     if not np.all(np.isfinite(gram)):
         raise ValidationError("features too large: their Gram matrix overflows float64")
@@ -170,24 +131,23 @@ def _lipschitz_step(x: np.ndarray, mode: ProbeMode, l2_lambda: float) -> float:
     return 1.0 / (float(np.linalg.eigvalsh(gram / n)[-1]) * curvature + 2.0 * l2_lambda)
 
 
-def _lbfgs_direction(grad: np.ndarray, pairs: list, out: np.ndarray) -> float:
-    """Set ``out`` to the L-BFGS direction ``-H grad`` by the two-loop
-    recursion over ``pairs`` of (s, y, s'y, y'y), oldest first, with the
-    initial Hessian guess scaled by s'y / y'y of the newest pair.  Returns the
-    slope ``grad . out``, nan when no pair is stored."""
+def _lbfgs_direction(grad: np.ndarray, pairs: list) -> np.ndarray | None:
+    """The L-BFGS direction ``-H grad`` by the two-loop recursion over
+    ``pairs`` of (s, y, s'y, y'y), oldest first, with the initial Hessian
+    guess scaled by s'y / y'y of the newest pair; None when no pair is stored."""
     if not pairs:
-        return math.nan
-    np.negative(grad, out=out)
+        return None
+    direction = -grad
     alphas = []
     for s, y, sy, _yy in reversed(pairs):
-        alpha = float(np.dot(s, out)) / sy
-        out -= alpha * y
+        alpha = float(np.dot(s, direction)) / sy
+        direction -= alpha * y
         alphas.append(alpha)
     _s, _y, sy, yy = pairs[-1]
-    out *= sy / yy
+    direction *= sy / yy
     for (s, y, sy, _yy), alpha in zip(pairs, reversed(alphas)):
-        out += (alpha - float(np.dot(y, out)) / sy) * s
-    return float(np.dot(grad, out))
+        direction += (alpha - float(np.dot(y, direction)) / sy) * s
+    return direction
 
 
 def train_probe(
@@ -211,22 +171,18 @@ def train_probe(
     GRAD_TOL times the norm at zero init, or once ``iters`` gradients past
     the one at zero are taken, line-search trials included, and returns the
     model and loss of the last accepted point.  Every gradient is one call
-    of :func:`probe_loss_and_grad` with one :class:`ProbeWork`, so there are
-    at most ``iters + 1`` calls.  A non-finite loss or gradient norm at any
-    point raises.  Deterministic for a given numpy/BLAS build and thread
-    count.
+    of :func:`probe_loss_and_grad`, so there are at most ``iters + 1``
+    calls.  A non-finite loss or gradient norm at any point raises.
+    Deterministic for a given numpy/BLAS build and thread count.
     """
     if step is not None:
         check_real(step, "step", 0.0, open_ends=True)
-    check_real(l2_lambda, "l2_lambda", 0.0)
+    _check_l2(l2_lambda)
     check_count(iters, "iters", 0)
-    if l2_lambda >= L2_LIMIT:
-        raise ValidationError(f"l2_lambda must be < 2**1023, got {l2_lambda}")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError(f"features must be (n, d) with n >= 1, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("features contain non-finite values")
+    check_finite(x, "features")
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
         t = np.asarray(targets, dtype=np.int64)
         if t.ndim != 1 or t.shape[0] != x.shape[0]:
@@ -242,53 +198,50 @@ def train_probe(
         raise ValidationError(f"need >= {classes} samples, got {x.shape[0]}")
     if step is None:
         step = _lipschitz_step(x, mode, l2_lambda)
-    work = ProbeWork(x.shape[0], classes, x.shape[1])
-    # (weights, bias) flattened like work.grad: point is where the loss is
-    # evaluated, at the last accepted point and grad its gradient
-    point, at, grad = np.zeros_like(work.grad), np.zeros_like(work.grad), np.empty_like(work.grad)
-    direction = np.empty_like(work.grad)
-    pairs: list = []  # the newest HISTORY (s, y, s'y, y'y), oldest first
-    cut = classes * x.shape[1]
-    weights, bias = point[:cut].reshape(classes, x.shape[1]), point[cut:]
+    dim = x.shape[1]
+    cut = classes * dim
 
-    def evaluate(it: int) -> tuple[float, float]:
-        loss, _gw, _gb = probe_loss_and_grad(weights, bias, x, t, mode, l2_lambda, work=work)
-        norm = math.sqrt(float(np.dot(work.grad, work.grad)))  # _gw and _gb, as one vector
+    def evaluate(point: np.ndarray, it: int) -> tuple[float, np.ndarray, float]:
+        """Loss, gradient and gradient norm at ``point``, which is (weights,
+        bias) flattened, as the gradient is."""
+        loss, grad_w, grad_b = probe_loss_and_grad(
+            point[:cut].reshape(classes, dim), point[cut:], x, t, mode, l2_lambda
+        )
+        grad = np.concatenate((grad_w.ravel(), grad_b))
+        norm = math.sqrt(float(np.dot(grad, grad)))
         if not (math.isfinite(loss) and math.isfinite(norm)):
             raise ValidationError(f"non-finite loss at iteration {it}")
-        return loss, norm
+        return loss, grad, norm
 
+    pairs: list = []  # the newest HISTORY (s, y, s'y, y'y), oldest first
     # overflow shows up as a non-finite loss or gradient, checked at every point
     with np.errstate(over="ignore", invalid="ignore"):
         it = 0
-        loss, norm = evaluate(it)
+        at = np.zeros(classes * (dim + 1))  # the last accepted point
+        loss, grad, norm = evaluate(at, it)
         tol = GRAD_TOL * norm
-        grad[...] = work.grad
         while norm > tol and it < iters:
-            slope = _lbfgs_direction(grad, pairs, direction)
-            if not slope < 0:  # no curvature to use: a gradient step
-                np.multiply(grad, -step, out=direction)
-                slope = -step * norm * norm
+            direction = _lbfgs_direction(grad, pairs)
+            if direction is None or not (slope := float(np.dot(grad, direction))) < 0:
+                # no curvature to use: a gradient step
+                direction, slope = grad * -step, -step * norm * norm
             scale = 1.0
             while it < iters:
-                np.multiply(direction, scale, out=point)
-                np.add(point, at, out=point)
+                point = direction * scale + at
                 it += 1
-                trial_loss, trial_norm = evaluate(it)
+                trial_loss, trial_grad, trial_norm = evaluate(point, it)
                 if trial_loss <= loss + ARMIJO_C1 * scale * slope:
                     break
                 scale *= 0.5
             else:  # the gradients ran out before a trial was accepted
                 break
-            s, y = point - at, work.grad - grad
+            s, y = point - at, trial_grad - grad
             sy, yy = float(np.dot(s, y)), float(np.dot(y, y))
             if 0 < sy < math.inf and 0 < yy < math.inf:
                 pairs.append((s, y, sy, yy))
                 del pairs[:-HISTORY]
-            at[...] = point
-            grad[...] = work.grad
-            loss, norm = trial_loss, trial_norm
-    return ProbeModel(weights=at[:cut].reshape(classes, x.shape[1]), bias=at[cut:], mode=mode,
+            at, grad, loss, norm = point, trial_grad, trial_loss, trial_norm
+    return ProbeModel(weights=at[:cut].reshape(classes, dim), bias=at[cut:], mode=mode,
                       l2_lambda=l2_lambda, final_loss=loss)
 
 
@@ -299,7 +252,9 @@ def train_probe(
 def save_features(
     features: np.ndarray, targets: np.ndarray, mode: ProbeMode, path: str | Path
 ) -> None:
-    x = np.ascontiguousarray(features, dtype=np.float32)
+    with np.errstate(over="ignore"):  # a value past the float32 range is rejected below
+        x = np.ascontiguousarray(features, dtype=np.float32)
+    check_finite(x, f"{path}: float32 features")
     n, d = x.shape
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
         labels = np.ascontiguousarray(targets, dtype="<u4")
@@ -322,6 +277,7 @@ def load_features(path: str | Path, mode: ProbeMode) -> tuple[np.ndarray, np.nda
     if n == 0:
         raise ValidationError(f"{path}: no samples (n=0)")
     features = np.frombuffer(feat, dtype="<f4").reshape(n, d).astype(np.float64)
+    check_finite(features, f"{path}: features")
     if mode is ProbeMode.SOFTMAX_MULTICLASS:
         if len(rest) != 4 * n:
             raise ValidationError(f"{path}: expected {4*n} label bytes, got {len(rest)}")
@@ -355,4 +311,10 @@ def load_probe(path: str | Path) -> ProbeModel:
         raise ValidationError(f"{path}: not a probe model: {exc}") from exc
     if weights.ndim != 2 or bias.shape != weights.shape[:1]:
         raise ValidationError(f"{path}: weights {weights.shape} and bias {bias.shape} mismatch")
+    check_finite(weights, f"{path}: weights")
+    check_finite(bias, f"{path}: bias terms")
+    try:
+        _check_l2(l2_lambda)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return ProbeModel(weights, bias, mode, l2_lambda, final_loss=math.nan)

@@ -22,9 +22,14 @@ _WTSR_VERSION = 1
 _WTSR_HEADER = struct.Struct("<4sHBB")
 
 
-def _check(data: np.ndarray) -> None:
+def check_finite(data: np.ndarray, what: str) -> None:
+    """Raise unless every value of ``data`` is finite; the error names ``what``."""
     if not np.all(np.isfinite(data)):
-        raise ValidationError("weight tensor contains non-finite values")
+        raise ValidationError(f"{what} contain non-finite values")
+
+
+def _check(data: np.ndarray) -> None:
+    check_finite(data, "weights")
     if data.ndim < 1 or any(d < 1 for d in data.shape):
         raise ValidationError(f"bad dims {data.shape}")
 

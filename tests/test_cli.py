@@ -422,9 +422,17 @@ def test_cli_probe_eval_rejects_a_class_id_the_model_has_no_output_for(tmp_path,
 
 
 @pytest.fixture
-def one_line_error_inputs(pipeline_files):
-    """Argument lists with one non-finite number each, keyed by case."""
+def one_line_error_inputs(pipeline_files, monkeypatch):
+    """Argument lists with one non-finite number each, in an argument or in a
+    file named relative to the working directory, keyed by case."""
     tmp_path, corpus_path, _seeds_path = pipeline_files
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "nan.cfft").write_bytes(struct.pack("<4sII", b"CFFT", 2, 1) + np.array([0.5, np.nan], "<f4").tobytes()
+                                        + np.array([0, 1], "<u4").tobytes())
+    save_features(np.eye(2, dtype=np.float32), np.array([0, 1]), ProbeMode.SOFTMAX_MULTICLASS, tmp_path / "two.cfft")
+    np.savez(tmp_path / "nan.npz", weights=np.array([[1.0, 0.0], [0.0, np.nan]]), bias=np.zeros(2),
+             mode="softmax", l2_lambda=0.0)
+    np.savez(tmp_path / "inf.npz", weights=np.eye(2), bias=np.zeros(2), mode="softmax", l2_lambda=np.inf)
     space_path = tmp_path / "space.json"
     space_path.write_text(json.dumps(_SPACE))
     feat = tmp_path / "train.cfft"
@@ -436,6 +444,10 @@ def one_line_error_inputs(pipeline_files):
     return {
         "probe": ["probe", "train", "--features", str(feat), "--mode", "softmax", "--step", "1e308",
                   "-o", str(tmp_path / "p.npz")],
+        "probe-train-features": ["probe", "train", "--features", "nan.cfft", "--mode", "softmax", "-o", "p.npz"],
+        "probe-eval-features": ["probe", "eval", "--features", "nan.cfft", "--mode", "softmax", "--model", "nan.npz"],
+        "probe-eval-weights": ["probe", "eval", "--features", "two.cfft", "--mode", "softmax", "--model", "nan.npz"],
+        "probe-eval-l2": ["probe", "eval", "--features", "two.cfft", "--mode", "softmax", "--model", "inf.npz"],
         "tau": dedup + ["--tau", "nan"],
         "threshold": dedup + ["--threshold", "nan"],
         "select": ["select", "--class", "short", "--mode", "f2", "--minutes", "nan",
@@ -446,6 +458,10 @@ def one_line_error_inputs(pipeline_files):
 
 _ONE_LINE_ERRORS = {
     "probe": "error: non-finite loss at iteration 1",
+    "probe-train-features": "error: nan.cfft: features contain non-finite values",
+    "probe-eval-features": "error: nan.cfft: features contain non-finite values",
+    "probe-eval-weights": "error: nan.npz: weights contain non-finite values",
+    "probe-eval-l2": "error: inf.npz: l2_lambda must be finite and >= 0, got inf",
     "tau": "error: tau must be finite and in [-1, 1], got nan",
     "threshold": "error: threshold_pct must be finite and in [0, 100], got nan",
     "select": "error: total_minutes must be finite and > 0, got nan",
@@ -458,7 +474,7 @@ def test_cli_non_finite_numbers_are_one_line_errors(one_line_error_inputs, capsy
     assert capsys.readouterr().err.splitlines() == [_ONE_LINE_ERRORS[case]]
 
 
-@pytest.mark.parametrize("case", ["probe", "tau", "select"])
+@pytest.mark.parametrize("case", ["probe", "probe-eval-features", "tau", "select"])
 def test_module_entry_point_prints_exactly_one_error_line(one_line_error_inputs, case):
     # a fresh interpreter, as the benchmark runs it: pytest does not capture
     # numpy's RuntimeWarnings there, so any warning shows as an extra line
@@ -581,6 +597,25 @@ def test_main_runs_the_command_with_gc_off_and_restores_the_callers_gc(monkeypat
         gc.enable()
     assert seen == [False, False]
     assert capsys.readouterr().err == "error: stop\n"
+
+
+@pytest.mark.parametrize("before", [None, "4"])
+def test_main_runs_the_command_on_one_blas_thread_and_restores_the_callers_setting(monkeypatch, before):
+    seen = []
+
+    def handler(args):
+        seen.append({name: os.environ.get(name) for name in cli._THREAD_VARIABLES})
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_eval_clips", handler)
+    for name in cli._THREAD_VARIABLES:
+        if before is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, before)
+    assert main(["eval", "clips", "--frames", "10", "--clip-len", "2"]) == 0
+    assert seen == [dict.fromkeys(cli._THREAD_VARIABLES, "1")]
+    assert [os.environ.get(name) for name in cli._THREAD_VARIABLES] == [before] * 3
 
 
 def _boom(*args, **kwargs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -395,6 +396,47 @@ def test_probe_model_bytes_load_or_name_the_file(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("probe") / "probe.npz"
     path.write_bytes(data)
     _loads_or_names(path, load_probe)
+
+
+@pytest.mark.parametrize("mode", list(ProbeMode))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_cfft_with_a_non_finite_feature_names_the_file(tmp_path, mode, value):
+    labels = np.array([0, 1], "<u4") if mode is ProbeMode.SOFTMAX_MULTICLASS else np.array([1, 0], np.uint8)
+    path = tmp_path / "f.cfft"
+    path.write_bytes(struct.pack("<4sII", b"CFFT", 2, 1) + np.array([0.5, value], "<f4").tobytes() + labels.tobytes())
+    with pytest.raises(ValidationError) as info:
+        load_features(path, mode)
+    assert str(info.value) == f"{path}: features contain non-finite values"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39, -1e300])
+def test_save_features_writes_no_value_that_is_not_finite_in_float32(tmp_path, value):
+    # 1e39 is finite in float64 and inf in float32: an error, not a warning and an inf
+    path = tmp_path / "f.cfft"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            save_features(np.array([[0.5], [value]]), np.array([0, 1]), ProbeMode.SOFTMAX_MULTICLASS, path)
+    assert str(info.value) == f"{path}: float32 features contain non-finite values"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("stored, message", [
+    ({"weights": np.array([[0.0, np.nan]])}, "weights contain non-finite values"),
+    ({"weights": np.array([[0.0, -np.inf]])}, "weights contain non-finite values"),
+    ({"bias": np.array([np.inf])}, "bias terms contain non-finite values"),
+    ({"l2_lambda": np.inf}, "l2_lambda must be finite and >= 0, got inf"),
+    ({"l2_lambda": np.nan}, "l2_lambda must be finite and >= 0, got nan"),
+    ({"l2_lambda": -1.0}, "l2_lambda must be finite and >= 0, got -1.0"),
+    ({"l2_lambda": 2.0**1023}, "l2_lambda must be < 2**1023, got 8.98846567431158e+307"),
+])
+def test_probe_model_with_a_parameter_training_cannot_give_names_the_file(tmp_path, stored, message):
+    path = tmp_path / "probe.npz"
+    blob = {"weights": np.zeros((1, 2)), "bias": np.zeros(1), "mode": "softmax", "l2_lambda": 1e-4} | stored
+    np.savez(path, **blob)
+    with pytest.raises(ValidationError) as info:
+        load_probe(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_probe_model_without_weights_names_the_file(tmp_path):

@@ -1,21 +1,30 @@
-"""Golden output digests: manifest and dedup-report bytes for fixed seeds.
+"""Golden output digests: manifest, dedup-report and probe-model bytes for
+fixed seeds.
 
 Criterion 11 only checks that two runs in one process agree; these digests
 pin the bytes themselves, so a refactor that silently changes the seeded
-label assignment, a sampler, a budget planner or the dedup report fails
-here.  Change a digest only when a change means to alter outputs, and say
-so in CHANGES.md.
+label assignment, a sampler, a budget planner, the dedup report or probe
+training fails here.  Change a digest only when a change means to alter
+outputs, and say so in CHANGES.md.
 """
 from __future__ import annotations
 
 import hashlib
+import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corpusforge
 from corpusforge.census import FrameVideo, decode_frames
 from corpusforge.dedup import dedup_report, save_report
 from corpusforge.manifest import manifest_bytes
+from corpusforge.probe import ProbeMode, save_features
 from corpusforge.records import VideoRecord
 from corpusforge.sampling import SamplingPlan, Strategy, sample
 from corpusforge.synth import ramp_video, tile_frame, tile_video
@@ -41,6 +50,8 @@ GOLDEN = {
     "overlap_pairs": "978243062a0e43d00a6e9096303986b6f8c2a0fdb398f87715d9c0a627c80f68",
     "decode_ramp224": "f5374545bd5fc06032ea47c9a54ba5177ce4e253e5e8414c6551c252beee58dc",
     "decode_rgb240x320": "f55f44a274f6cebc84a6b7a37ff14f1ac3e4f613b5a8c3f24c40fa4d517f4a37",
+    "probe_softmax": "31ca20774755de2408ce8471cb02f2713ad0c1afa30975665db8508d2fa35a1d",
+    "probe_sigmoid": "b145c62d0e2c5a8807faccc5e55b42fb960f7dc8938bc97bd3815d61fed5bfb3",
 }
 
 
@@ -123,3 +134,60 @@ def _rgb_tile_video() -> FrameVideo:
 def test_golden_decoded_signatures(name, video):
     # the resize paths: 2:1 from 224 px, and 240x320 RGB to 112x112
     assert _sha(decode_frames(video()).frames.tobytes()) == GOLDEN[name]
+
+
+# BLAS kernels differ by build and by CPU, so the probe-model digests hold
+# only for the numpy, BLAS and machine they were recorded with
+_PROBE_PLATFORM = ("2.4.6", "scipy-openblas", "0.3.31.188.0", "x86_64")
+
+
+def _platform() -> tuple[str, str, str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return np.__version__, blas["name"], blas["version"], platform.machine()
+
+
+def _probe_features(path: Path, mode: ProbeMode) -> None:
+    """Seeded 1500 x 96 features of 32 classes, each class around its own mean."""
+    n, d, classes = 1500, 96, 32
+    rng = np.random.default_rng(SEED)
+    means = rng.standard_normal((classes, d)) / math.sqrt(d)
+    y = rng.integers(classes, size=n)
+    if mode is ProbeMode.SOFTMAX_MULTICLASS:
+        targets, centers = y, means[y]
+    else:
+        targets = np.zeros((n, classes), dtype=np.uint8)
+        targets[np.arange(n), y] = 1
+        extra = rng.random(n) < 0.4
+        targets[np.arange(n)[extra], rng.integers(classes, size=int(extra.sum()))] = 1
+        centers = targets @ means
+    save_features(centers + 0.6 * rng.standard_normal((n, d)) / math.sqrt(d), targets, mode, path)
+
+
+def _train_model(tmp_path: Path, mode: ProbeMode, threads: str | None) -> bytes:
+    """The model file ``probe train`` writes in a fresh interpreter, with every
+    BLAS thread variable unset or set to ``threads``."""
+    features, model = tmp_path / f"{mode.value}.cfft", tmp_path / f"{mode.value}-{threads}.npz"
+    if not features.exists():
+        _probe_features(features, mode)
+    src = str(Path(corpusforge.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    subprocess.run([sys.executable, "-m", "corpusforge.cli", "probe", "train", "--features", str(features),
+                    "--mode", mode.value, "-o", str(model)], check=True, capture_output=True, env=env, timeout=120)
+    return model.read_bytes()
+
+
+@pytest.mark.parametrize("mode", list(ProbeMode))
+def test_golden_probe_models(tmp_path, mode):
+    if _platform() != _PROBE_PLATFORM:
+        pytest.skip(f"digests recorded on numpy/BLAS/machine {_PROBE_PLATFORM}, this is {_platform()}")
+    assert _sha(_train_model(tmp_path, mode, None)) == GOLDEN[f"probe_{mode.value}"]
+
+
+@pytest.mark.parametrize("mode", list(ProbeMode))
+def test_probe_model_bytes_do_not_depend_on_the_callers_thread_variables(tmp_path, mode):
+    # the CLI trains on one BLAS thread whatever the environment asks for
+    models = {threads: _train_model(tmp_path, mode, threads) for threads in (None, "1", "2")}
+    assert models[None] == models["1"] == models["2"]
